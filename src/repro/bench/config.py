@@ -10,8 +10,9 @@ the scaling so EXPERIMENTS.md can state it.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 #: paper parameter grid (Section 5).
 PAPER_M_VALUES = (2, 5, 10, 15, 20)
@@ -23,6 +24,18 @@ DEFAULT_C = 0.20
 
 ALGORITHM_NAMES = ("sba", "aba", "pba1", "pba2")
 DATASET_NAMES = ("UNI", "FC", "ZIL", "CAL")
+
+
+def stable_seed(*parts: Any) -> int:
+    """A process-stable seed from arbitrary parts (CRC32 of their repr).
+
+    ``hash(str)`` is randomised per process (PYTHONHASHSEED), which
+    would silently give every run different query sets; CRC32 of the
+    canonical repr is stable across processes, platforms and Python
+    versions.
+    """
+    blob = "|".join(repr(part) for part in parts).encode("utf-8")
+    return zlib.crc32(blob) & 0x7FFFFFFF
 
 
 @dataclass(frozen=True)

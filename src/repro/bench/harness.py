@@ -20,6 +20,7 @@ from repro.bench.config import (
     DEFAULT_K,
     DEFAULT_M,
     BenchProfile,
+    stable_seed,
 )
 from repro.api import TopKDominatingEngine, open_engine
 from repro.datasets import PAPER_DATASETS, select_query_objects
@@ -114,8 +115,7 @@ class BenchHarness:
         repeats = self.profile.repeats
         for rep in range(repeats):
             rng = random.Random(
-                hash((self.profile.seed, dataset, m, k, round(c, 4), rep))
-                & 0x7FFFFFFF
+                stable_seed(self.profile.seed, dataset, m, k, round(c, 4), rep)
             )
             query_ids = select_query_objects(
                 engine.space,

@@ -328,8 +328,16 @@ class TopKDominatingEngine:
         any reader of the globals sees per-cell values instead of a
         running total.  Thread-local counters are untouched — they are
         diffed, never read absolutely.
+
+        The reset is also *cold*: the counted metric's own caches (the
+        shortest-path metric's Dijkstra rows) are dropped too, so a
+        cell's Dijkstra work never depends on which cell ran before.
         """
-        self.counting_metric.reset()
+        metric = self.counting_metric
+        metric.reset()
+        clear_cache = getattr(metric.inner, "clear_cache", None)
+        if clear_cache is not None:
+            clear_cache()
         self.buffers.reset_stats()
 
     def attach_fault_injector(self, injector) -> None:

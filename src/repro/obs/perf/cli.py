@@ -23,7 +23,7 @@ import datetime
 import sys
 from typing import Any, Dict, List, Optional
 
-from repro.obs.perf.compare import CompareOptions, compare_runs
+from repro.obs.perf.compare import CompareOptions, _short_sha, compare_runs
 from repro.obs.perf.runner import (
     RunnerOptions,
     bench_file_path,
@@ -335,7 +335,6 @@ def cmd_history(args: argparse.Namespace) -> int:
 
     for index, run in enumerate(runs, 1):
         env = run.get("env", {})
-        sha = env.get("git_sha")
         total_wall = sum(
             median(b["wall_seconds"]) for b in run.get("benchmarks", [])
         )
@@ -344,7 +343,7 @@ def cmd_history(args: argparse.Namespace) -> int:
         ) else ""
         print(
             f"  #{index:<3d} {_fmt_time(run.get('created'))}  "
-            f"sha={sha[:10] if isinstance(sha, str) else '?':<10}  "
+            f"sha={_short_sha(env):<16}  "
             f"py={env.get('python', '?'):<7}  "
             f"profile={run.get('profile', '?'):<6}  "
             f"benchmarks={len(run.get('benchmarks', [])):<3d}  "

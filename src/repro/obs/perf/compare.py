@@ -144,8 +144,10 @@ class CompareReport:
 
 
 def _short_sha(env: Dict[str, Any]) -> str:
+    """The run's short SHA, ``+dirty`` when it measured uncommitted code."""
     sha = env.get("git_sha")
-    return sha[:10] if isinstance(sha, str) else "?"
+    short = sha[:10] if isinstance(sha, str) else "?"
+    return short + "+dirty" if env.get("git_dirty") else short
 
 
 def _index_benchmarks(run: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:

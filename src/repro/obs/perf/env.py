@@ -19,9 +19,10 @@ import subprocess
 import sys
 from typing import Any, Dict, Optional
 
-__all__ = ["environment_fingerprint", "git_revision"]
+__all__ = ["environment_fingerprint", "git_dirty", "git_revision"]
 
 _GIT_CACHE: Dict[str, Optional[str]] = {}
+_DIRTY_CACHE: Dict[str, Optional[bool]] = {}
 
 
 def git_revision(cwd: Optional[str] = None) -> Optional[str]:
@@ -48,6 +49,32 @@ def git_revision(cwd: Optional[str] = None) -> Optional[str]:
         sha = None
     _GIT_CACHE[key] = sha
     return sha
+
+
+def git_dirty(cwd: Optional[str] = None) -> Optional[bool]:
+    """Whether tracked files differ from ``HEAD`` (``None`` outside a
+    git tree).  A run measured on a dirty tree measured code that
+    ``git_revision`` does not name.
+
+    Cached per working directory for the life of the process.
+    """
+    key = cwd or os.getcwd()
+    if key in _DIRTY_CACHE:
+        return _DIRTY_CACHE[key]
+    dirty: Optional[bool] = None
+    try:
+        out = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            cwd=cwd,
+            capture_output=True,
+            timeout=5,
+        )
+        if out.returncode == 0:
+            dirty = bool(out.stdout.strip())
+    except (OSError, subprocess.TimeoutExpired):
+        dirty = None
+    _DIRTY_CACHE[key] = dirty
+    return dirty
 
 
 def environment_fingerprint(

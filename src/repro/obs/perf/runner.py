@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.obs.perf.env import environment_fingerprint
+from repro.obs.perf.env import environment_fingerprint, git_dirty
 from repro.obs.perf.suites import BenchCase, build_suite
 
 __all__ = [
@@ -134,7 +134,9 @@ def run_suite(
         "warmup": options.warmup,
         "repeats": options.repeats,
         "wall_seconds_total": time.time() - started,
-        "env": environment_fingerprint(profile=profile),
+        "env": environment_fingerprint(
+            profile=profile, extras={"git_dirty": git_dirty()}
+        ),
         "benchmarks": benchmarks,
     }
 

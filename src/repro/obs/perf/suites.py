@@ -42,11 +42,10 @@ from __future__ import annotations
 import os
 import random
 import time
-import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.bench.config import PROFILES, BenchProfile
+from repro.bench.config import PROFILES, BenchProfile, stable_seed
 
 __all__ = [
     "BenchCase",
@@ -55,18 +54,6 @@ __all__ = [
     "build_suite",
     "stable_seed",
 ]
-
-
-def stable_seed(*parts: Any) -> int:
-    """A process-stable seed from arbitrary parts (CRC32 of their repr).
-
-    ``hash(str)`` is randomised per process (PYTHONHASHSEED), which
-    would silently give every run different query sets; CRC32 of the
-    canonical repr is stable across processes, platforms and Python
-    versions.
-    """
-    blob = "|".join(repr(part) for part in parts).encode("utf-8")
-    return zlib.crc32(blob) & 0x7FFFFFFF
 
 
 @dataclass

@@ -1,6 +1,10 @@
 """Smoke tests for the benchmark harness, reporting and CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +76,39 @@ class TestHarness:
             "UNI", "pba2", m=2, k=1, c=0.2, parameter="m", value=2
         )
         assert cell.stats.results_reported == 1  # averaged, not summed
+
+
+    def test_query_sets_do_not_depend_on_pythonhashseed(self):
+        """Figure seeding is process-stable: two processes with
+        different string-hash seeds draw the same query sets."""
+        script = (
+            "import json\n"
+            "import repro.bench.harness as h\n"
+            "from repro.bench.config import BenchProfile\n"
+            "drawn = []\n"
+            "select = h.select_query_objects\n"
+            "def spy(*args, **kwargs):\n"
+            "    ids = select(*args, **kwargs)\n"
+            "    drawn.append(list(ids))\n"
+            "    return ids\n"
+            "h.select_query_objects = spy\n"
+            "harness = h.BenchHarness(BenchProfile(name='seeds', n=60, repeats=3), "
+            "verbose=False)\n"
+            "harness.measure('UNI', 'pba2', m=3, k=1, c=0.2, parameter='m', value=3)\n"
+            "print(json.dumps(drawn))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        draws = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            draws.append(json.loads(proc.stdout))
+        assert len(draws[0]) == 3
+        assert draws[0] == draws[1]
 
 
 class TestReporting:

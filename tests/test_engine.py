@@ -12,6 +12,7 @@ from repro import (
     PruningConfig,
     TopKDominatingEngine,
 )
+from repro.datasets import california
 from repro.metric.counting import CountingMetric
 from repro.metric.safety import safe_lower_bound
 
@@ -86,6 +87,25 @@ class TestRegistry:
 
 
 class TestMeasurement:
+    def test_cold_reset_clears_dijkstra_rows(self):
+        """After a reset a query costs the Dijkstra runs it costs on a
+        freshly built (and reset) engine, whatever ran before."""
+        query = [5, 60, 100]
+
+        def cold_runs(warm_up):
+            engine = TopKDominatingEngine(california(n=120, seed=3))
+            for query_ids in warm_up:
+                engine.top_k_dominating(query_ids, 5, algorithm="pba2")
+            engine.reset_cost_counters()
+            graph_metric = engine.counting_metric.inner
+            before = graph_metric.dijkstra_runs
+            engine.top_k_dominating(query, 5, algorithm="pba2")
+            return graph_metric.dijkstra_runs - before
+
+        fresh = cold_runs([])
+        assert fresh > 0
+        assert cold_runs([query, [1, 2, 3]]) == fresh
+
     def test_stats_are_per_query_deltas(self):
         engine = make_engine(n=100, seed=61)
         _r1, s1 = engine.top_k_dominating([0, 50], 5, algorithm="pba2")

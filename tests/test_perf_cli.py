@@ -99,6 +99,15 @@ class TestCompareAndHistory:
         assert "2 run(s)" in out
         assert "(* = pinned baseline)" in out
 
+    def test_history_marks_dirty_tree_runs(self, trajectory, capsys):
+        dirty = make_run(created=2.0)
+        dirty["env"] = dict(dirty["env"], git_dirty=True)
+        record_run(trajectory, dirty)
+        assert main(["history", "--file", trajectory]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "sha=aaaaaaaaaa " in lines[1]
+        assert "sha=aaaaaaaaaa+dirty " in lines[2]
+
     def test_history_single_benchmark(self, trajectory, capsys):
         assert (
             main(

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import subprocess
 
 import pytest
+
+from repro.obs.perf.env import git_dirty
 
 from repro.obs.perf.runner import (
     FILE_SCHEMA,
@@ -56,6 +59,26 @@ class TestStableSeed:
             assert 0 <= stable_seed(part) <= 0x7FFFFFFF
 
 
+def test_git_dirty_sees_changes_to_tracked_files_only(tmp_path):
+    def committed_tree(name):
+        root = tmp_path / name
+        root.mkdir()
+        (root / "f.txt").write_text("a")
+        for args in (["init", "-q"], ["add", "f.txt"], ["commit", "-q", "-m", "i"]):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                cwd=root, check=True, capture_output=True,
+            )
+        return root
+
+    clean, dirty = committed_tree("clean"), committed_tree("dirty")
+    (clean / "untracked.txt").write_text("x")
+    (dirty / "f.txt").write_text("b")
+    assert git_dirty(str(clean)) is False
+    assert git_dirty(str(dirty)) is True
+    assert git_dirty(str(tmp_path)) is None  # not a work tree
+
+
 class TestRunSuite:
     def test_run_document_schema(self):
         run = run_suite(
@@ -70,6 +93,7 @@ class TestRunSuite:
         assert run["warmup"] == 1 and run["repeats"] == 3
         assert run["env"]["profile"] == "smoke"
         assert "python" in run["env"] and "cpu_count" in run["env"]
+        assert "git_dirty" in run["env"]
         (bench,) = run["benchmarks"]
         assert bench["id"] == "t/one"
         assert len(bench["wall_seconds"]) == 3
