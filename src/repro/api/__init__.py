@@ -8,17 +8,16 @@ query (:class:`Query`), execute it (:func:`run` or the engine's
 import from this module instead of deep module paths; names listed in
 ``__all__`` are covered by the API-surface snapshot check
 (``docs/api-surface.txt``, regenerated with
-``python -m repro.api.surface``) and deprecations go through one
-release of :class:`DeprecationWarning` aliases before removal.
+``python -m repro.api.surface``), so a change to the surface shows
+up as a reviewed diff.
 
-Canonical spellings (see docs/api.md for the migration table):
+Each parameter has one spelling (see docs/api.md):
 
-* ``k`` — the result count (``top_k=`` is a deprecated alias);
-* ``algorithm`` — a lower-case registry name such as ``"pba2"``
-  (passing the algorithm class, or ``make_algorithm(name=...)``, is
-  deprecated);
-* ``seed`` — integer randomness seed for engine construction
-  (``rng=`` with a ``random.Random`` is deprecated).
+* ``k`` — the result count;
+* ``algorithm`` — a registry name such as ``"pba2"``;
+* ``index`` / ``index_options`` — a registered backend name such as
+  ``"pmtree"`` and that backend's build options;
+* ``seed`` — integer randomness seed for engine construction.
 """
 
 from __future__ import annotations
@@ -27,15 +26,12 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
-from repro._compat import (
-    MISSING,
-    canonical_algorithm,
-    canonical_index_name,
-    merge_index_options,
-    warn_deprecated,
-)
 from repro.core.brute_force import brute_force_scores
-from repro.core.engine import ALGORITHMS, TopKDominatingEngine
+from repro.core.engine import (
+    ALGORITHMS,
+    TopKDominatingEngine,
+    canonical_algorithm,
+)
 from repro.core.progressive import ResultItem
 from repro.core.pruning import PruningConfig
 from repro.index import (
@@ -102,16 +98,12 @@ def open_engine(
     space: Optional[MetricSpace] = None,
     *,
     seed: Optional[int] = 0,
-    node_capacity=MISSING,
-    split_policy=MISSING,
     index: str = "mtree",
     index_options: Optional[dict] = None,
-    bulk_load=MISSING,
     buffers: Optional[BufferPool] = None,
     durability: Optional[str] = None,
     recover_from: Optional[str] = None,
     fsync_policy: str = "commit",
-    rng=MISSING,
 ) -> TopKDominatingEngine:
     """Index a metric space with the paper's Section 5 configuration.
 
@@ -127,15 +119,10 @@ def open_engine(
     (:func:`available_backends` — ``mtree``, ``pmtree``, ``vptree``
     ship built in) and ``index_options`` carries that backend's build
     knobs, e.g. ``open_engine(space, index="pmtree",
-    index_options={"pivots": 8})``.  The former top-level
-    ``node_capacity``/``split_policy``/``bulk_load`` keywords are
-    deprecated aliases for the same-named ``index_options`` keys, and
-    hyphenated/cased index spellings (``"PM-Tree"``) are deprecated
-    aliases for the canonical lower-case names.
+    index_options={"pivots": 8})``.
 
-    ``seed`` (an int, default 0) is the canonical randomness control
-    for index construction; the former ``rng=`` keyword taking a
-    ``random.Random`` is a deprecated alias for one release.
+    ``seed`` (an int, default 0) seeds the randomness of index
+    construction.
 
     Durability (see ``docs/robustness.md``):
 
@@ -151,19 +138,6 @@ def open_engine(
     * ``fsync_policy`` tunes WAL sync cadence for either mode
       (``"always"``, ``"commit"``, ``"batch"``, ``"never"``).
     """
-    if rng is not MISSING:
-        warn_deprecated("open_engine()", "the 'rng' keyword", "'seed'")
-        rng_obj = rng
-    else:
-        rng_obj = random.Random(seed)
-    options = merge_index_options(
-        "open_engine",
-        index_options,
-        node_capacity=node_capacity,
-        split_policy=split_policy,
-        bulk_load=bulk_load,
-    )
-    index = canonical_index_name(index, "open_engine")
     if recover_from is not None:
         if space is not None:
             raise ValueError(
@@ -187,10 +161,10 @@ def open_engine(
         )
     engine = TopKDominatingEngine(
         space,
-        rng=rng_obj,
+        rng=random.Random(seed),
         buffers=buffers,
         index=index,
-        index_options=options,
+        index_options=index_options,
     )
     if durability is not None:
         from repro.recovery import enable_durability
@@ -221,7 +195,7 @@ class Query:
         object.__setattr__(
             self,
             "algorithm",
-            canonical_algorithm(self.algorithm, ALGORITHMS, "Query"),
+            canonical_algorithm(self.algorithm, "Query"),
         )
 
     @property

@@ -35,13 +35,6 @@ from typing import (
 
 from dataclasses import dataclass
 
-from repro._compat import (
-    MISSING,
-    canonical_algorithm,
-    canonical_index_name,
-    merge_index_options,
-    resolve_alias,
-)
 from repro.faults.crashpoints import crashpoint
 from repro.core.aba import ABA
 from repro.core.approximate import ApproximateTopK
@@ -67,6 +60,21 @@ ALGORITHMS: Dict[str, Type[TopKAlgorithm]] = {
     "pba2": PBA2,
     "apx": ApproximateTopK,
 }
+
+
+def canonical_algorithm(value: object, func: str) -> str:
+    """The registry name for an algorithm selector string.
+
+    Matching is case-insensitive (``"PBA2"`` selects ``"pba2"``);
+    anything else raises a ``ValueError`` listing the algorithms.
+    """
+    if isinstance(value, str) and value.lower() in ALGORITHMS:
+        return value.lower()
+    raise ValueError(
+        f"{func}(): unknown algorithm {value!r}; choose from "
+        f"{sorted(ALGORITHMS)}"
+    )
+
 
 #: rough bytes per data-set record, used to size the aux buffer the way
 #: the paper sizes it ("20% of db size").
@@ -108,21 +116,18 @@ class TopKDominatingEngine:
     index, index_options:
         A registered backend name (:func:`repro.index.
         available_backends`) and its build options — e.g.
-        ``index="pmtree", index_options={"pivots": 8}``.  The former
-        top-level ``node_capacity``/``split_policy``/``bulk_load``
-        keywords are deprecated aliases for the same-named
-        ``index_options`` keys.
+        ``index="pmtree", index_options={"pivots": 8}``.
+
+    Every parameter after ``space`` is keyword-only.
     """
 
     def __init__(
         self,
         space: MetricSpace,
-        node_capacity=MISSING,
-        split_policy=MISSING,
+        *,
         rng: Optional[random.Random] = None,
         buffers: Optional[BufferPool] = None,
         index: str = "mtree",
-        bulk_load=MISSING,
         index_options: Optional[Dict[str, object]] = None,
     ) -> None:
         if not isinstance(space.metric, CountingMetric):
@@ -133,14 +138,12 @@ class TopKDominatingEngine:
             )
         self.space = space
         self.buffers = buffers or BufferPool()
-        options = merge_index_options(
-            "TopKDominatingEngine",
-            index_options,
-            node_capacity=node_capacity,
-            split_policy=split_policy,
-            bulk_load=bulk_load,
-        )
-        index = canonical_index_name(index, "TopKDominatingEngine")
+        if not isinstance(index, str):
+            raise TypeError(
+                "TopKDominatingEngine(): index must be a backend name "
+                f"string, got {type(index).__name__}"
+            )
+        options = dict(index_options) if index_options else {}
         # the registry replaces the former hard-coded if/elif over
         # index names: any access method registered through
         # repro.index.register_backend is constructible here, and an
@@ -188,31 +191,13 @@ class TopKDominatingEngine:
 
     def make_algorithm(
         self,
-        algorithm=MISSING,
+        algorithm: str,
         context: Optional[QueryContext] = None,
         pruning: Optional[PruningConfig] = None,
-        *,
-        name=MISSING,
     ) -> TopKAlgorithm:
-        """Instantiate an algorithm by registry name.
-
-        ``algorithm`` is the canonical lower-case registry name
-        (``"pba2"``); the former ``name=`` keyword and passing the
-        algorithm class are deprecated aliases for one release.
-        """
-        algorithm = resolve_alias(
-            "make_algorithm", "algorithm", algorithm, "name", name
-        )
-        algorithm = canonical_algorithm(
-            algorithm, ALGORITHMS, "make_algorithm"
-        )
-        try:
-            cls = ALGORITHMS[algorithm]
-        except KeyError:
-            raise ValueError(
-                f"unknown algorithm {algorithm!r}; choose from "
-                f"{sorted(ALGORITHMS)}"
-            ) from None
+        """Instantiate an algorithm by registry name (``"pba2"``)."""
+        algorithm = canonical_algorithm(algorithm, "make_algorithm")
+        cls = ALGORITHMS[algorithm]
         if (
             algorithm in ("sba", "aba")
             and "skyline" not in self.backend.capabilities
@@ -352,30 +337,6 @@ class TopKDominatingEngine:
         self.buffers.index_manager.attach_injector(injector)
         self.buffers.aux_manager.attach_injector(injector)
 
-    def attach_durability(self, controller) -> None:
-        """Bind a :class:`repro.recovery.DurabilityController`.
-
-        From here on every ``insert_object``/``delete_object`` runs
-        inside a WAL transaction and is sealed by a commit record;
-        queries are untouched (capture is transaction-gated), so the
-        paper's cost counters stay bit-identical.  Most callers go
-        through ``open_engine(durability=...)`` /
-        ``repro.recovery.enable_durability`` instead, which also write
-        the base checkpoint.
-
-        Durability is an M-tree-backend feature: recovery re-adopts
-        checkpointed M-tree pages with *zero* distance computations,
-        a guarantee the other backends' side structures (VP-tree
-        layout, PM-tree pivot rings) cannot give yet.
-        """
-        if self.index_kind != "mtree":
-            raise NotImplementedError(
-                "durability requires the mtree backend (recovery "
-                "restores M-tree pages without recomputing distances); "
-                f"the engine was built with index={self.index_kind!r}"
-            )
-        controller.bind(self)
-
     def checkpoint(self, path: Optional[str] = None) -> str:
         """Snapshot pages + aux records + epoch atomically.
 
@@ -461,29 +422,20 @@ class TopKDominatingEngine:
     def stream(
         self,
         query_ids: Sequence[int],
-        k=MISSING,
+        k: int,
         algorithm: str = "pba2",
         pruning: Optional[PruningConfig] = None,
-        *,
-        top_k=MISSING,
     ) -> Iterator[ResultItem]:
-        """Progressive results, one at a time (stop whenever you like).
-
-        ``k`` is canonical; ``top_k=`` is a deprecated alias for one
-        release.
-        """
-        k = resolve_alias("stream", "k", k, "top_k", top_k)
+        """Progressive results, one at a time (stop whenever you like)."""
         algo = self.make_algorithm(algorithm, pruning=pruning)
         return algo.run(query_ids, k)
 
     def top_k_dominating(
         self,
         query_ids: Sequence[int],
-        k=MISSING,
+        k: int,
         algorithm: str = "pba2",
         pruning: Optional[PruningConfig] = None,
-        *,
-        top_k=MISSING,
     ) -> Tuple[List[ResultItem], QueryStats]:
         """Full answer plus the paper's three cost metrics.
 
@@ -494,14 +446,8 @@ class TopKDominatingEngine:
         own counters once :meth:`prepare_for_concurrency` has run, so
         per-query attribution stays exact under concurrent queries;
         single-threaded, the thread-local view *is* the global one.
-
-        ``k`` is canonical; ``top_k=`` is a deprecated alias for one
-        release.
         """
-        k = resolve_alias("top_k_dominating", "k", k, "top_k", top_k)
-        algorithm = canonical_algorithm(
-            algorithm, ALGORITHMS, "top_k_dominating"
-        )
+        algorithm = canonical_algorithm(algorithm, "top_k_dominating")
         return self._measured_run(
             query_ids, k, algorithm, pruning, self.make_context()
         )
@@ -547,11 +493,9 @@ class TopKDominatingEngine:
     def explain(
         self,
         query_ids: Sequence[int],
-        k=MISSING,
+        k: int,
         algorithm: str = "pba2",
         pruning: Optional[PruningConfig] = None,
-        *,
-        top_k=MISSING,
     ) -> Tuple[List[ResultItem], QueryStats, "explain_mod.QueryPlan"]:
         """Run the query and return ``(results, stats, QueryPlan)``.
 
@@ -569,8 +513,7 @@ class TopKDominatingEngine:
         slices out its own subtree; otherwise a private tracer is used
         and discarded afterwards.
         """
-        k = resolve_alias("explain", "k", k, "top_k", top_k)
-        algorithm = canonical_algorithm(algorithm, ALGORITHMS, "explain")
+        algorithm = canonical_algorithm(algorithm, "explain")
         context = self.make_context()
         probe = self.cost_probe(context)
         collector = explain_mod.ExplainCollector(probe=probe)

@@ -50,7 +50,7 @@ from typing import (
     Tuple,
 )
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, bucket_quantile
 
 __all__ = [
     "HealthLimits",
@@ -326,36 +326,14 @@ class TimeSeriesStore:
     ) -> Optional[float]:
         """Estimated ``q``-quantile of the window's observations.
 
-        Linear interpolation inside the winning bucket; the ``+Inf``
-        bucket clamps to the largest finite bound (no upper sample
-        exists to interpolate toward).
+        :func:`~repro.obs.registry.bucket_quantile` over the window's
+        bucket-count deltas: linear interpolation inside the winning
+        bucket, and the ``+Inf`` bucket reads as the largest finite
+        bound (no upper sample exists to interpolate toward).
         """
-        if not 0.0 < q <= 1.0:
-            raise ValueError("q must be in (0, 1]")
-        deltas = self._bucket_deltas(path, window, now)
-        if deltas is None:
-            return None
-        keys, diffs = deltas
-        total = sum(diffs)
-        if total <= 0:
-            return None
-        bounds = [_bound_of(key) for key in keys]
-        rank = q * total
-        seen = 0
-        for i, diff in enumerate(diffs):
-            if diff <= 0:
-                continue
-            if seen + diff >= rank:
-                upper = bounds[i]
-                lower = bounds[i - 1] if i > 0 else 0.0
-                if math.isinf(upper):
-                    finite = [b for b in bounds if not math.isinf(b)]
-                    return finite[-1] if finite else None
-                fraction = (rank - seen) / diff
-                return lower + (upper - lower) * fraction
-            seen += diff
-        finite = [b for b in bounds if not math.isinf(b)]
-        return finite[-1] if finite else None
+        keys, diffs = self._bucket_deltas(path, window, now) or ((), [])
+        bounds = [_bound_of(key) for key in keys if key != "+Inf"]
+        return bucket_quantile(bounds, diffs, q)
 
     def snapshot(self) -> dict:
         """Store-level counters (for the monitor's own metrics)."""

@@ -21,6 +21,7 @@ the value as a label.
 
 from __future__ import annotations
 
+import bisect
 import re
 import threading
 from collections import OrderedDict
@@ -31,6 +32,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "bucket_quantile",
     "escape_help_text",
     "escape_label_value",
     "render_labels",
@@ -156,8 +158,75 @@ class Gauge:
 DEFAULT_BOUNDS: Sequence[float] = tuple(0.001 * 4**i for i in range(10))
 
 
+def bucket_quantile(
+    bounds: Sequence[float],
+    counts: Sequence[int],
+    q: float,
+    low: Optional[float] = None,
+    high: Optional[float] = None,
+) -> Optional[float]:
+    """Estimated ``q``-quantile (``0 < q <= 1``) from bucket counts.
+
+    ``counts`` has one entry per upper bound in ``bounds`` plus the
+    overflow (``+Inf``) bucket.  The estimate interpolates linearly
+    inside the bucket holding the ``q * total``-th observation (the
+    first bucket's lower edge is 0), the Prometheus
+    ``histogram_quantile`` approximation, good to one bucket width.
+    An overflow-bucket estimate interpolates toward ``high`` when
+    given, else it is the largest finite bound.  ``low``/``high``
+    (the observed min/max, when known) clamp the estimate.  Returns
+    ``None`` when the buckets hold no observation.
+    """
+    if not 0.0 < q <= 1.0:
+        raise ValueError("q must be in (0, 1]")
+    total = sum(counts)
+    if total <= 0:
+        return None
+    rank = q * total
+    # float rounding can land rank an epsilon off an integer (e.g.
+    # 0.9 * 10 == 9.000000000000002), which would push a boundary
+    # quantile into the *next* bucket; snap it back.
+    nearest = round(rank)
+    if abs(rank - nearest) <= 1e-9 * total:
+        rank = float(nearest)
+    top = high if high is not None else (bounds[-1] if bounds else 0.0)
+    uppers = list(bounds) + [top]
+    estimate = top
+    seen = 0
+    for i, count in enumerate(counts):
+        if count <= 0:
+            continue
+        if seen + count >= rank:
+            lower = bounds[i - 1] if i > 0 else 0.0
+            upper = uppers[i]
+            fraction = (rank - seen) / count
+            if fraction >= 1.0:
+                # exact at the bucket's upper boundary: lower +
+                # (upper - lower) * 1.0 need not round to `upper`.
+                estimate = upper
+            else:
+                estimate = lower + (upper - lower) * fraction
+            break
+        seen += count
+    if high is not None:
+        estimate = min(estimate, high)
+    if low is not None:
+        estimate = max(estimate, low)
+    return estimate
+
+
 class Histogram:
-    """Fixed-bucket histogram with Prometheus cumulative exposition."""
+    """Fixed-bucket histogram with Prometheus cumulative exposition.
+
+    Thread-safe.  A NaN observation is dropped and counted in
+    ``dropped``: it would otherwise poison the sum and, through
+    ``min``/``max``, every quantile clamp.  A negative one, possible
+    when a caller diffs timestamps from a non-monotonic clock, clamps
+    to 0.0 so the sum and the quantiles stay monotone.  Besides the
+    registry payload (:meth:`export`) it keeps the exact min/max and
+    summarises itself as the service's latency snapshot
+    (:meth:`snapshot`).
+    """
 
     kind = "histogram"
 
@@ -175,25 +244,63 @@ class Histogram:
         self._lock = threading.Lock()
         self._counts = [0] * (len(self.bounds) + 1)
         self._sum = 0.0
-        self._count = 0
+        self.count = 0
+        self.dropped = 0
+        self.min: Optional[float] = None
+        self.max: Optional[float] = None
 
     def observe(self, value: float) -> None:
-        if value != value:  # NaN: unusable, never corrupt the sum
+        if value != value:  # NaN
+            with self._lock:
+                self.dropped += 1
             return
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
+        if value < 0.0:
+            value = 0.0
+        index = bisect.bisect_left(self.bounds, value)
         with self._lock:
             self._counts[index] += 1
             self._sum += value
-            self._count += 1
+            self.count += 1
+            if self.min is None or value < self.min:
+                self.min = value
+            if self.max is None or value > self.max:
+                self.max = value
+
+    @property
+    def mean(self) -> float:
+        """Arithmetic mean of all observations."""
+        with self._lock:
+            return self._sum / self.count if self.count else 0.0
+
+    def quantile(self, q: float) -> float:
+        """Estimated ``q``-quantile (``0 < q <= 1``); 0.0 when empty.
+
+        See :func:`bucket_quantile`; the estimate never leaves the
+        observed ``[min, max]`` range.
+        """
+        with self._lock:
+            counts = list(self._counts)
+            low, high = self.min, self.max
+        estimate = bucket_quantile(self.bounds, counts, q, low, high)
+        return 0.0 if estimate is None else estimate
+
+    def snapshot(self) -> dict:
+        """Count, mean, p50/p90/p99, min and max as plain types."""
+        return {
+            "count": self.count,
+            "dropped": self.dropped,
+            "mean_seconds": self.mean,
+            "p50_seconds": self.quantile(0.50),
+            "p90_seconds": self.quantile(0.90),
+            "p99_seconds": self.quantile(0.99),
+            "min_seconds": self.min or 0.0,
+            "max_seconds": self.max or 0.0,
+        }
 
     def export(self) -> Any:
         with self._lock:
             return {
-                "count": self._count,
+                "count": self.count,
                 "sum": self._sum,
                 "buckets": {
                     ("+Inf" if i == len(self.bounds) else repr(self.bounds[i])): c
@@ -204,7 +311,7 @@ class Histogram:
     def prometheus_lines(self, prefix: str) -> List[str]:
         with self._lock:
             counts = list(self._counts)
-            total = self._count
+            total = self.count
             acc_sum = self._sum
         lines = []
         cumulative = 0

@@ -443,9 +443,6 @@ class AlertManager:
         self.fired = 0
         self.resolved = 0
 
-    def add_sink(self, sink: Callable[[Alert], None]) -> None:
-        self._sinks.append(sink)
-
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------

@@ -62,7 +62,7 @@ from repro.service.admission import (
 from repro.service.cache import CacheEntry, ResultCache
 from repro.service.coalesce import SingleFlight
 from repro.service.loadgen import LoadConfig, LoadReport, run_load
-from repro.service.metrics import LatencyHistogram, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 from repro.service.server import (
     QueryRequest,
     QueryResponse,
@@ -77,7 +77,6 @@ __all__ = [
     "CacheEntry",
     "DeadlineExceeded",
     "FatalFault",
-    "LatencyHistogram",
     "LoadConfig",
     "LoadReport",
     "Overloaded",

@@ -21,123 +21,20 @@ The shared global counters still exist and stay exact in aggregate.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional
+from typing import Dict
 
+from repro.obs.registry import Histogram
 from repro.storage.stats import QueryStats
 
 
-class LatencyHistogram:
-    """Fixed exponential buckets, thread-safe, with quantile estimates.
-
-    Buckets double from 50 µs up to ~100 s — three decades around the
-    latencies this service produces (sub-ms cache hits up to multi-
-    second cold scans under the 8 ms/fault I/O model).  Quantiles are
-    estimated by linear interpolation inside the winning bucket, the
-    standard Prometheus-style approximation: good to one bucket width,
-    plenty for p50/p99 reporting.
-    """
-
-    _BOUNDS: List[float] = [50e-6 * (2.0 ** i) for i in range(21)]
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts = [0] * (len(self._BOUNDS) + 1)
-        self.count = 0
-        self.dropped = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def record(self, seconds: float) -> None:
-        """Add one observation.
-
-        A NaN duration is dropped (and counted in ``dropped``): one
-        would otherwise poison ``total`` and, through ``min``/``max``,
-        every quantile clamp forever.  A negative duration — possible
-        when a caller diffs timestamps from a non-monotonic clock —
-        clamps to 0.0 so ``total`` and the quantiles stay monotone.
-        """
-        if seconds != seconds:  # NaN
-            with self._lock:
-                self.dropped += 1
-            return
-        if seconds < 0.0:
-            seconds = 0.0
-        with self._lock:
-            index = self._bucket_index(seconds)
-            self._counts[index] += 1
-            self.count += 1
-            self.total += seconds
-            if self.min is None or seconds < self.min:
-                self.min = seconds
-            if self.max is None or seconds > self.max:
-                self.max = seconds
-
-    def _bucket_index(self, seconds: float) -> int:
-        for i, bound in enumerate(self._BOUNDS):
-            if seconds <= bound:
-                return i
-        return len(self._BOUNDS)
-
-    def quantile(self, q: float) -> float:
-        """Estimated ``q``-quantile (``0 < q <= 1``) in seconds."""
-        if not 0.0 < q <= 1.0:
-            raise ValueError("q must be in (0, 1]")
-        with self._lock:
-            if self.count == 0:
-                return 0.0
-            rank = q * self.count
-            # float rounding can land rank an epsilon off an integer
-            # (e.g. 0.9 * 10 == 9.000000000000002), which would push a
-            # boundary quantile into the *next* bucket; snap it back.
-            nearest = round(rank)
-            if abs(rank - nearest) <= 1e-9 * self.count:
-                rank = float(nearest)
-            seen = 0
-            for i, bucket_count in enumerate(self._counts):
-                if bucket_count == 0:
-                    continue
-                if seen + bucket_count >= rank:
-                    lower = self._BOUNDS[i - 1] if i > 0 else 0.0
-                    upper = (
-                        self._BOUNDS[i]
-                        if i < len(self._BOUNDS)
-                        else (self.max or self._BOUNDS[-1])
-                    )
-                    fraction = (rank - seen) / bucket_count
-                    if fraction >= 1.0:
-                        # exact at the bucket's upper boundary:
-                        # lower + (upper - lower) * 1.0 need not round
-                        # to `upper` in floating point.
-                        estimate = upper
-                    else:
-                        estimate = lower + (upper - lower) * fraction
-                    # never estimate outside the observed range.
-                    if self.max is not None:
-                        estimate = min(estimate, self.max)
-                    if self.min is not None:
-                        estimate = max(estimate, self.min)
-                    return estimate
-                seen += bucket_count
-            return self.max or 0.0  # pragma: no cover - defensive
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of all observations."""
-        return self.total / self.count if self.count else 0.0
-
-    def snapshot(self) -> dict:
-        """Summary statistics as plain types."""
-        return {
-            "count": self.count,
-            "dropped": self.dropped,
-            "mean_seconds": self.mean,
-            "p50_seconds": self.quantile(0.50),
-            "p90_seconds": self.quantile(0.90),
-            "p99_seconds": self.quantile(0.99),
-            "min_seconds": self.min or 0.0,
-            "max_seconds": self.max or 0.0,
-        }
+#: bucket upper bounds (seconds) of every service latency histogram:
+#: the request latencies, the write latency and the subscription delta
+#: lag.  The default latency SLO threshold (0.25 s) is a bound, so its
+#: burn-rate accounting is exact.
+REQUEST_BOUNDS = (
+    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
+    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
+)
 
 
 class _AlgorithmAggregate:
@@ -181,10 +78,14 @@ class ServiceMetrics:
         self.faults_transient = 0
         self.faults_fatal = 0
         self.writes = 0
-        self.latency_all = LatencyHistogram()
-        self.latency_cold = LatencyHistogram()
-        self.latency_cache_hit = LatencyHistogram()
-        self.latency_write = LatencyHistogram()
+        self.latency_all = Histogram(
+            "request_latency_seconds", bounds=REQUEST_BOUNDS
+        )
+        self.latency_cold = Histogram("latency_cold", bounds=REQUEST_BOUNDS)
+        self.latency_cache_hit = Histogram(
+            "latency_cache_hit", bounds=REQUEST_BOUNDS
+        )
+        self.latency_write = Histogram("latency_write", bounds=REQUEST_BOUNDS)
         self._per_algorithm: Dict[str, _AlgorithmAggregate] = {}
 
     # ------------------------------------------------------------------
@@ -208,11 +109,11 @@ class ServiceMetrics:
                 self.cache_hits += 1
             if coalesced:
                 self.coalesced += 1
-        self.latency_all.record(latency_seconds)
+        self.latency_all.observe(latency_seconds)
         if cached:
-            self.latency_cache_hit.record(latency_seconds)
+            self.latency_cache_hit.observe(latency_seconds)
         elif not coalesced:
-            self.latency_cold.record(latency_seconds)
+            self.latency_cold.observe(latency_seconds)
 
     def observe_execution(self, algorithm: str, stats: QueryStats) -> None:
         """Aggregate one cold engine execution's cost counters."""
@@ -256,7 +157,7 @@ class ServiceMetrics:
         """Count an insert/delete and its latency."""
         with self._lock:
             self.writes += 1
-        self.latency_write.record(latency_seconds)
+        self.latency_write.observe(latency_seconds)
 
     # ------------------------------------------------------------------
     # export

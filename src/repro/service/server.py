@@ -64,7 +64,6 @@ from typing import (
     Tuple,
 )
 
-from repro._compat import MISSING, resolve_alias
 from repro.api import (
     QueryPlan,
     ResultItem,
@@ -89,7 +88,7 @@ from repro.service.admission import (
 )
 from repro.service.cache import CacheKey, ResultCache
 from repro.service.coalesce import SingleFlight
-from repro.service.metrics import ServiceMetrics
+from repro.service.metrics import REQUEST_BOUNDS, ServiceMetrics
 from repro.service.subscriptions import Subscription, SubscriptionManager
 from repro.storage.stats import QueryStats
 
@@ -331,7 +330,6 @@ class QueryService:
         self._coordinator: Optional[Any] = None
         self.health_limits = HealthLimits()
         self.monitor: Optional[Any] = None
-        self._request_latency: Optional[Any] = None
         if self.config.monitor:
             self._start_monitor()
         self._closed = False
@@ -340,7 +338,7 @@ class QueryService:
         """Construct and start the self-monitoring pipeline.
 
         Everything monitor-specific lives behind ``config.monitor`` —
-        imports, the wall-clock request-latency histogram, the extra
+        imports, the registered request-latency histogram, the extra
         registry sections — so a monitor-off service carries no trace
         of it (the neutrality invariant).
         """
@@ -350,7 +348,10 @@ class QueryService:
         rules = self.config.monitor_rules
         if rules is None:
             rules = default_rules()
-        self._request_latency = self.registry.histogram(
+        # the snapshot's latency.all becomes the registry instrument the
+        # latency burn-rate rule reads, so each response is observed
+        # once; this runs before the first request is served.
+        self.metrics.latency_all = self.registry.histogram(
             "request_latency_seconds",
             help="wall seconds from request admission to response",
             bounds=self.REQUEST_BOUNDS,
@@ -413,13 +414,9 @@ class QueryService:
     #: below request latencies (10 us up to ~167 s, x4 per bucket).
     PHASE_BOUNDS = tuple(1e-05 * 4**i for i in range(12))
 
-    #: request-latency bounds for the monitor-gated histogram; the
-    #: default latency SLO threshold (0.25 s) is a bucket boundary, so
-    #: its burn-rate accounting is exact.
-    REQUEST_BOUNDS = (
-        0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-        0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-    )
+    #: bounds of every service latency histogram and the subscription
+    #: delta lag (defined in :mod:`repro.service.metrics`).
+    REQUEST_BOUNDS = REQUEST_BOUNDS
 
     def _observe_phase_span(self, span_obj: Span) -> None:
         """Tracer listener: algorithm phase durations into histograms.
@@ -510,19 +507,17 @@ class QueryService:
     async def query(
         self,
         query_ids: Sequence[int],
-        k=MISSING,
+        k: int,
         algorithm: str = "pba2",
         deadline: Optional[float] = None,
         *,
         explain: bool = False,
-        top_k=MISSING,
     ) -> QueryResponse:
         """Serve one query: admission -> cache -> coalesce -> engine.
 
         Raises :class:`Overloaded` / :class:`DeadlineExceeded` on
         admission rejection; engine validation errors (unknown
-        algorithm, bad query ids) propagate as-is.  ``k`` is canonical;
-        ``top_k=`` is a deprecated alias for one release.
+        algorithm, bad query ids) propagate as-is.
 
         ``explain=True`` executes on the engine's explain path and
         attaches the :class:`~repro.api.QueryPlan` to the response.
@@ -532,7 +527,6 @@ class QueryService:
         no plan to attach — but it still lands its (bit-identical)
         answer in the cache for later un-explained requests.
         """
-        k = resolve_alias("query", "k", k, "top_k", top_k)
         request = QueryRequest.make(query_ids, k, algorithm)
         started = time.perf_counter()
         self.metrics.observe_request()
@@ -640,20 +634,17 @@ class QueryService:
     def query_sync(
         self,
         query_ids: Sequence[int],
-        k=MISSING,
+        k: int,
         algorithm: str = "pba2",
         *,
         explain: bool = False,
-        top_k=MISSING,
     ) -> QueryResponse:
         """Serve one query synchronously (cache + coalesce + engine).
 
         No admission control — the caller owns its own backpressure.
-        ``k`` is canonical; ``top_k=`` is a deprecated alias for one
-        release.  ``explain=True`` behaves as in :meth:`query`:
+        ``explain=True`` behaves as in :meth:`query`:
         bypasses cache and coalescing, attaches ``response.plan``.
         """
-        k = resolve_alias("query_sync", "k", k, "top_k", top_k)
         request = QueryRequest.make(query_ids, k, algorithm)
         started = time.perf_counter()
         self.metrics.observe_request()
@@ -1037,11 +1028,6 @@ class QueryService:
     ) -> QueryResponse:
         latency = time.perf_counter() - started
         self.metrics.observe_response(latency, cached, coalesced)
-        if self._request_latency is not None:
-            # monitor-gated: this histogram exists only when
-            # config.monitor is on, so the monitor-off request path is
-            # untouched (neutrality invariant).
-            self._request_latency.observe(latency)
         if root:
             root.set("cached", cached)
             root.set("coalesced", coalesced)

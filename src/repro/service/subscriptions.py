@@ -34,8 +34,9 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.engine import ChangeEvent, TopKDominatingEngine
 from repro.core.progressive import ResultItem
+from repro.obs.registry import Histogram
 from repro.service.cache import ResultCache
-from repro.service.metrics import LatencyHistogram
+from repro.service.metrics import REQUEST_BOUNDS
 from repro.streaming.continuous import ContinuousTopK, ResultDelta
 
 
@@ -190,7 +191,7 @@ class SubscriptionManager:
         self.created = 0
         self.closed = 0
         self.total_overflows = 0
-        self.delta_lag = LatencyHistogram()
+        self.delta_lag = Histogram("delta_lag", bounds=REQUEST_BOUNDS)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -348,7 +349,7 @@ class SubscriptionManager:
             self.total_overflows += 1
 
     def _observe_lag(self, seconds: float) -> None:
-        self.delta_lag.record(seconds)
+        self.delta_lag.observe(seconds)
 
     # ------------------------------------------------------------------
     # introspection

@@ -1,4 +1,5 @@
-"""repro.api: the facade, canonical kwargs and deprecation aliases."""
+"""repro.api: the facade, its one spelling per parameter, and the
+retired alias spellings."""
 
 import random
 import warnings
@@ -13,10 +14,12 @@ from repro.api import (
     Query,
     Result,
     TopKDominatingEngine,
+    UnknownIndexError,
     open_engine,
     run,
 )
 from repro.core.pba import PBA2
+from repro.service import QueryService, ServiceConfig
 
 
 def _space(n=60, seed=0):
@@ -48,14 +51,6 @@ class TestOpenEngine:
         )
         assert a_stats.io.page_faults == b_stats.io.page_faults
 
-    def test_rng_keyword_is_deprecated_alias(self):
-        with pytest.warns(DeprecationWarning, match="'rng'.*'seed'"):
-            engine = open_engine(_space(), rng=random.Random(7))
-        reference = open_engine(_space(), seed=7)
-        a, _ = engine.top_k_dominating([1, 2], 3)
-        b, _ = reference.top_k_dominating([1, 2], 3)
-        assert [r.object_id for r in a] == [r.object_id for r in b]
-
     def test_forwards_index_kind(self):
         engine = open_engine(_space(), seed=1, index="vptree")
         assert engine.index_kind == "vptree"
@@ -83,42 +78,97 @@ class TestQueryResult:
         assert result.stats.distance_computations >= 0
 
 
+def _service_call(method):
+    """A retired-spelling case that calls ``QueryService.<method>``."""
+
+    def call(_engine, space):
+        with QueryService(
+            open_engine(space, seed=0), ServiceConfig(workers=1)
+        ) as service:
+            getattr(service, method)([1, 2], top_k=3)
+
+    return call
+
+
+def _unknown_keyword(name):
+    return TypeError, f"unexpected keyword argument '{name}'"
+
+
+#: (case id, call(engine, space), (exception type, message pattern)):
+#: every spelling the former alias window translated, and the typed
+#: error it now raises.
+RETIRED_SPELLINGS = [
+    ("top_k_dominating-top_k",
+     lambda e, s: e.top_k_dominating([1, 2], top_k=4),
+     _unknown_keyword("top_k")),
+    ("stream-top_k",
+     lambda e, s: e.stream([1, 2], top_k=2),
+     _unknown_keyword("top_k")),
+    ("explain-top_k",
+     lambda e, s: e.explain([1, 2], top_k=2),
+     _unknown_keyword("top_k")),
+    ("query_sync-top_k", _service_call("query_sync"),
+     _unknown_keyword("top_k")),
+    ("query-top_k", _service_call("query"), _unknown_keyword("top_k")),
+    ("make_algorithm-name",
+     lambda e, s: e.make_algorithm(name="pba2"),
+     _unknown_keyword("name")),
+    ("algorithm-class",
+     lambda e, s: e.top_k_dominating([1, 2], 3, algorithm=PBA2),
+     (ValueError, "unknown algorithm .*choose from")),
+    ("Query-algorithm-class",
+     lambda e, s: Query(query_ids=(1,), k=1, algorithm=PBA2),
+     (ValueError, "unknown algorithm .*choose from")),
+    ("open_engine-rng",
+     lambda e, s: open_engine(s, rng=random.Random(7)),
+     _unknown_keyword("rng")),
+    ("open_engine-node_capacity",
+     lambda e, s: open_engine(s, node_capacity=6),
+     _unknown_keyword("node_capacity")),
+    ("open_engine-split_policy",
+     lambda e, s: open_engine(s, split_policy="sampling"),
+     _unknown_keyword("split_policy")),
+    ("open_engine-bulk_load",
+     lambda e, s: open_engine(s, bulk_load=True),
+     _unknown_keyword("bulk_load")),
+    ("engine-node_capacity",
+     lambda e, s: TopKDominatingEngine(s, node_capacity=6),
+     _unknown_keyword("node_capacity")),
+    ("engine-split_policy",
+     lambda e, s: TopKDominatingEngine(s, split_policy="sampling"),
+     _unknown_keyword("split_policy")),
+    ("engine-bulk_load",
+     lambda e, s: TopKDominatingEngine(s, bulk_load=True),
+     _unknown_keyword("bulk_load")),
+    ("engine-positional-rng",
+     lambda e, s: TopKDominatingEngine(s, random.Random(1)),
+     (TypeError, "positional argument")),
+    ("index-PM-Tree",
+     lambda e, s: open_engine(s, index="PM-Tree"),
+     (UnknownIndexError, "registered backends: mtree, pmtree, vptree")),
+    ("index-pm_tree",
+     lambda e, s: open_engine(s, index="pm_tree"),
+     (UnknownIndexError, "registered backends: mtree, pmtree, vptree")),
+    ("index-MTREE",
+     lambda e, s: TopKDominatingEngine(s, index="MTREE"),
+     (UnknownIndexError, "registered backends: mtree, pmtree, vptree")),
+    ("index-vp-tree",
+     lambda e, s: TopKDominatingEngine(s, index="vp-tree"),
+     (UnknownIndexError, "registered backends: mtree, pmtree, vptree")),
+    ("index-M-Tree",
+     lambda e, s: TopKDominatingEngine(s, index="M-Tree"),
+     (UnknownIndexError, "registered backends: mtree, pmtree, vptree")),
+]
+
+
 class TestDeprecatedAliases:
-    def test_top_k_alias_on_engine(self, engine):
-        canonical, _ = engine.top_k_dominating([1, 2], 4)
-        with pytest.warns(DeprecationWarning, match="'top_k'"):
-            aliased, _ = engine.top_k_dominating([1, 2], top_k=4)
-        assert [r.object_id for r in aliased] == [
-            r.object_id for r in canonical
-        ]
-
-    def test_top_k_alias_on_stream(self, engine):
-        with pytest.warns(DeprecationWarning, match="'top_k'"):
-            items = list(engine.stream([1, 2], top_k=2))
-        assert len(items) == 2
-
-    def test_both_spellings_is_an_error(self, engine):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError, match="both"):
-                engine.top_k_dominating([1, 2], 4, top_k=4)
+    """The spellings the former alias window served now fail typed."""
 
     def test_k_still_required(self, engine):
-        with pytest.raises(TypeError, match="missing required argument"):
+        with pytest.raises(
+            TypeError, match="missing 1 required positional argument: 'k'"
+        ):
             engine.top_k_dominating([1, 2])
-
-    def test_make_algorithm_name_alias(self, engine):
-        with pytest.warns(DeprecationWarning, match="'name'"):
-            algo = engine.make_algorithm(name="pba2")
-        assert isinstance(algo, PBA2)
-
-    def test_algorithm_class_selector_deprecated(self, engine):
-        with pytest.warns(DeprecationWarning, match="registry name"):
-            results, _ = engine.top_k_dominating([1, 2], 3, algorithm=PBA2)
-        canonical, _ = engine.top_k_dominating([1, 2], 3, algorithm="pba2")
-        assert [r.object_id for r in results] == [
-            r.object_id for r in canonical
-        ]
 
     def test_canonical_spellings_do_not_warn(self, engine):
         with warnings.catch_warnings():
@@ -128,20 +178,15 @@ class TestDeprecatedAliases:
             engine.make_algorithm("sba")
             open_engine(_space(20), seed=0)
 
-    def test_service_top_k_alias(self):
-        from repro.service import QueryService, ServiceConfig
-
-        service = QueryService(
-            open_engine(_space(40), seed=0),
-            ServiceConfig(workers=1),
-        )
-        try:
-            canonical = service.query_sync([1, 2], 3)
-            with pytest.warns(DeprecationWarning, match="'top_k'"):
-                aliased = service.query_sync([1, 2], top_k=3)
-            assert aliased.results == canonical.results
-        finally:
-            service.close()
+    @pytest.mark.parametrize(
+        "call, expected",
+        [case[1:] for case in RETIRED_SPELLINGS],
+        ids=[case[0] for case in RETIRED_SPELLINGS],
+    )
+    def test_retired_spelling_raises(self, engine, call, expected):
+        error, pattern = expected
+        with pytest.raises(error, match=pattern):
+            call(engine, _space(20))
 
 
 class TestSurfaceDeclaration:

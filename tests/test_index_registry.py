@@ -2,8 +2,8 @@
 
 Covers the PR's API-surface contract: typed unknown-index errors that
 enumerate what is registered, third-party registration reaching the
-engine, per-backend option validation, deprecated spellings/kwargs
-warning exactly once each, and the capability gates that route
+engine, per-backend option validation, the non-string ``index``
+type check, and the capability gates that route
 algorithms away from backends that cannot serve them.
 """
 
@@ -14,7 +14,6 @@ import warnings
 
 import pytest
 
-from repro._compat import canonical_index_name
 from repro.api import open_engine
 from repro.core.engine import TopKDominatingEngine
 from repro.index import (
@@ -116,46 +115,20 @@ class TestThirdPartyBackend:
 
 
 class TestDeprecatedSpellings:
-    def test_cased_and_hyphenated_names_warn_and_resolve(self):
-        for spelling in ("PM-Tree", "pm_tree", "MTREE", "vp-tree"):
-            with pytest.warns(DeprecationWarning, match="spelling"):
-                name = canonical_index_name(spelling, "test")
-            assert name == spelling.lower().replace("-", "").replace(
-                "_", ""
-            )
+    # the retired spellings themselves are covered by
+    # tests/test_api_facade.py::TestDeprecatedAliases.
 
     def test_canonical_names_do_not_warn(self):
+        space = make_vector_space(60, dims=2, seed=4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for name in available_backends():
-                assert canonical_index_name(name, "test") == name
-
-    def test_engine_accepts_deprecated_spelling(self, small_space):
-        with pytest.warns(DeprecationWarning, match="spelling"):
-            engine = TopKDominatingEngine(small_space, index="M-Tree")
-        assert engine.index_kind == "mtree"
+                engine = open_engine(space, seed=4, index=name)
+                assert engine.index_kind == name
 
     def test_non_string_index_is_a_type_error(self, small_space):
         with pytest.raises(TypeError, match="backend name string"):
             TopKDominatingEngine(small_space, index=3)
-
-    def test_legacy_kwargs_warn_and_flow_into_options(self):
-        space = make_vector_space(60, dims=2, seed=4)
-        with pytest.warns(DeprecationWarning, match="node_capacity"):
-            engine = open_engine(space, seed=4, node_capacity=6)
-        assert engine.index_options["node_capacity"] == 6
-        assert engine.tree.node_capacity == 6
-
-    def test_both_spellings_is_a_type_error(self):
-        space = make_vector_space(60, dims=2, seed=4)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="node_capacity"):
-                open_engine(
-                    space,
-                    seed=4,
-                    node_capacity=6,
-                    index_options={"node_capacity": 8},
-                )
 
 
 class TestCapabilityGates:

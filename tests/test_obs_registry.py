@@ -46,6 +46,15 @@ class TestInstruments:
         histogram = Histogram("h", bounds=(1.0,))
         histogram.observe(float("nan"))
         assert histogram.export()["count"] == 0
+        assert histogram.dropped == 1
+
+    def test_histogram_negative_clamps_to_zero(self):
+        histogram = Histogram("h", bounds=(1.0,))
+        histogram.observe(-5.0)
+        exported = histogram.export()
+        assert exported["sum"] == 0.0
+        assert exported["buckets"] == {"1.0": 1, "+Inf": 0}
+        assert histogram.min == histogram.max == 0.0
 
     def test_histogram_bounds_must_increase(self):
         with pytest.raises(ValueError):

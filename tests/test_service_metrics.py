@@ -7,32 +7,47 @@ import threading
 
 import pytest
 
-from repro.service.metrics import LatencyHistogram, ServiceMetrics
+from repro.api import open_engine
+from repro.obs.registry import Histogram
+from repro.service import QueryService, ServiceConfig
+from repro.service.metrics import ServiceMetrics
 from repro.storage.stats import QueryStats
+
+from .conftest import make_vector_space
+
+#: 50 us doubling up to ~52 s: fine enough that the quantile tests
+#: below separate sub-millisecond from second-scale observations.
+LATENCY_BOUNDS = tuple(50e-6 * 2.0**i for i in range(21))
+
+
+def _latency_histogram():
+    return Histogram("latency", bounds=LATENCY_BOUNDS)
 
 
 class TestLatencyHistogram:
+    """The latency summary of :class:`repro.obs.registry.Histogram`."""
+
     def test_empty(self):
-        histogram = LatencyHistogram()
+        histogram = _latency_histogram()
         assert histogram.count == 0
         assert histogram.mean == 0.0
         assert histogram.quantile(0.5) == 0.0
 
     def test_mean_min_max_are_exact(self):
-        histogram = LatencyHistogram()
+        histogram = _latency_histogram()
         for value in (0.001, 0.002, 0.003):
-            histogram.record(value)
+            histogram.observe(value)
         assert histogram.mean == pytest.approx(0.002)
         assert histogram.min == pytest.approx(0.001)
         assert histogram.max == pytest.approx(0.003)
 
     def test_quantiles_are_bucket_accurate(self):
-        histogram = LatencyHistogram()
+        histogram = _latency_histogram()
         # 90 fast requests, 10 slow ones: p50 must look fast, p99 slow
         for _ in range(90):
-            histogram.record(0.001)
+            histogram.observe(0.001)
         for _ in range(10):
-            histogram.record(1.0)
+            histogram.observe(1.0)
         p50 = histogram.quantile(0.50)
         p99 = histogram.quantile(0.99)
         assert p50 < 0.01
@@ -42,24 +57,24 @@ class TestLatencyHistogram:
         assert histogram.min <= p99 <= histogram.max
 
     def test_quantile_validation(self):
-        histogram = LatencyHistogram()
+        histogram = _latency_histogram()
         with pytest.raises(ValueError):
             histogram.quantile(0.0)
         with pytest.raises(ValueError):
             histogram.quantile(1.5)
 
     def test_out_of_range_observation_lands_in_overflow(self):
-        histogram = LatencyHistogram()
-        histogram.record(10_000.0)  # beyond the last bound
+        histogram = _latency_histogram()
+        histogram.observe(10_000.0)  # beyond the last bound
         assert histogram.count == 1
         assert histogram.quantile(1.0) == pytest.approx(10_000.0)
 
     def test_thread_safety_no_lost_updates(self):
-        histogram = LatencyHistogram()
+        histogram = _latency_histogram()
 
         def hammer():
             for _ in range(1000):
-                histogram.record(0.001)
+                histogram.observe(0.001)
 
         threads = [threading.Thread(target=hammer) for _ in range(4)]
         for thread in threads:
@@ -69,48 +84,48 @@ class TestLatencyHistogram:
         assert histogram.count == 4000
 
     def test_nan_is_dropped_and_counted(self):
-        histogram = LatencyHistogram()
-        histogram.record(float("nan"))
+        histogram = _latency_histogram()
+        histogram.observe(float("nan"))
         assert histogram.count == 0
         assert histogram.dropped == 1
         assert histogram.mean == 0.0
         assert histogram.quantile(0.5) == 0.0
         # totals stay un-poisoned: later observations remain exact
-        histogram.record(0.002)
+        histogram.observe(0.002)
         assert histogram.mean == pytest.approx(0.002)
         assert histogram.snapshot()["dropped"] == 1
 
     def test_negative_duration_clamps_to_zero(self):
-        histogram = LatencyHistogram()
-        histogram.record(-0.5)
+        histogram = _latency_histogram()
+        histogram.observe(-0.5)
         assert histogram.count == 1
         assert histogram.dropped == 0
         assert histogram.min == 0.0
-        assert histogram.total == 0.0
+        assert histogram.export()["sum"] == 0.0
         assert histogram.quantile(1.0) == 0.0
 
     def test_quantile_exact_at_bucket_boundary(self):
         # rank = 0.9 * 10 is 9.000000000000002 in floats; without the
         # integer snap the estimate jumps into the slow bucket.
-        histogram = LatencyHistogram()
+        histogram = _latency_histogram()
         for _ in range(9):
-            histogram.record(0.0001)
-        histogram.record(1.0)
+            histogram.observe(0.0001)
+        histogram.observe(1.0)
         assert histogram.quantile(0.90) == pytest.approx(0.0001)
 
     def test_quantile_boundary_returns_upper_exactly(self):
         # fraction == 1.0 must return the bucket's upper bound itself,
         # not lower + (upper - lower) * 1.0, which can round past it.
-        histogram = LatencyHistogram()
+        histogram = _latency_histogram()
         for _ in range(5):
-            histogram.record(50e-6)
+            histogram.observe(50e-6)
         for _ in range(5):
-            histogram.record(1.0)
+            histogram.observe(1.0)
         assert histogram.quantile(0.50) == 50e-6
 
     def test_snapshot_shape(self):
-        histogram = LatencyHistogram()
-        histogram.record(0.005)
+        histogram = _latency_histogram()
+        histogram.observe(0.005)
         snap = histogram.snapshot()
         assert set(snap) == {
             "count",
@@ -175,3 +190,18 @@ class TestServiceMetrics:
         metrics = ServiceMetrics()
         metrics.observe_execution("pba2", QueryStats())
         assert json.loads(json.dumps(metrics.snapshot()))
+
+    def test_monitored_latency_all_is_the_registry_instrument(self):
+        engine = open_engine(make_vector_space(n=40, dims=2, seed=3), seed=3)
+        config = ServiceConfig(workers=1, monitor=True, monitor_interval=60.0)
+        with QueryService(engine, config) as service:
+            for query in ([0, 5], [1, 9], [0, 5], [2, 7]):
+                service.query_sync(query, 3)
+            snap = service.snapshot()
+            # one histogram, observed once per response
+            assert service.metrics.latency_all is service.registry.histogram(
+                "request_latency_seconds"
+            )
+        instrument = snap["instruments"]["request_latency_seconds"]
+        assert snap["latency"]["all"]["count"] == 4
+        assert instrument["count"] == snap["latency"]["all"]["count"]
