@@ -25,7 +25,7 @@ from repro.anns.mbm import AggregateNNCursor
 from repro.core.dominance import DistanceVectorSource, DominanceMatrix
 from repro.core.progressive import QueryContext, ResultItem, TopKAlgorithm
 from repro.mtree.queries import range_query
-from repro.obs import trace
+from repro.obs import explain, trace
 
 
 class ABA(TopKAlgorithm):
@@ -44,7 +44,7 @@ class ABA(TopKAlgorithm):
     ) -> Iterator[ResultItem]:
         self._validate(query_ids, k)
         ctx = self.context
-        ex = self._explain()
+        ex = trace.explaining()
         vectors = DistanceVectorSource(ctx.space, query_ids)
         removed: Set[int] = set()
         universe: List[int] = list(ctx.tree.object_ids())
@@ -70,12 +70,7 @@ class ABA(TopKAlgorithm):
 
                 # lines 3-6: candidate collection by range queries.
                 remaining = len(universe) - len(removed)
-                stage = (
-                    ex.stage("aba.candidates", remaining, round=_round)
-                    if ex is not None
-                    else None
-                )
-                with trace.span("aba.candidates", category="algo"):
+                with trace.span("aba.candidates", category="algo") as stage:
                     p_vector = vectors.vector(p)
                     candidates: Set[int] = {p}
                     for j, query_id in enumerate(query_ids):
@@ -85,16 +80,19 @@ class ABA(TopKAlgorithm):
                                 continue
                             candidates.add(object_id)
                     ctx.stats.objects_retrieved += len(candidates)
-                if stage is not None:
-                    stage.close(
-                        survivors=len(candidates),
-                        discards={
-                            "outside every candidate ball (Lemma 3)": (
-                                remaining - len(candidates)
-                            )
-                        },
-                        note=f"ANN p={p}",
-                    )
+                    if ex is not None:
+                        explain.close_stage(
+                            stage,
+                            remaining,
+                            len(candidates),
+                            {
+                                "outside every candidate ball (Lemma 3)": (
+                                    remaining - len(candidates)
+                                )
+                            },
+                            round=_round,
+                            note=f"ANN p={p}",
+                        )
                 round_span.set("candidates", len(candidates))
 
                 # lines 8-17: exact scoring of every candidate.
@@ -102,28 +100,27 @@ class ABA(TopKAlgorithm):
                     matrix = DominanceMatrix(vectors, universe)
                 best_id = -1
                 best_score = -1
-                stage = (
-                    ex.stage("aba.score", len(candidates), round=_round)
-                    if ex is not None
-                    else None
-                )
-                with trace.span("aba.score", category="algo"):
+                with trace.span("aba.score", category="algo") as stage:
                     for object_id in sorted(candidates):
                         score = matrix.score(object_id)
                         ctx.stats.exact_score_computations += 1
                         if score > best_score:
                             best_score = score
                             best_id = object_id
-                if stage is not None:
-                    stage.close(
-                        survivors=1,
-                        discards={
-                            "lower exact score than the round winner": (
-                                len(candidates) - 1
-                            )
-                        },
-                    )
-                    ex.snapshot(
+                    if ex is not None:
+                        explain.close_stage(
+                            stage,
+                            len(candidates),
+                            1,
+                            {
+                                "lower exact score than the round winner": (
+                                    len(candidates) - 1
+                                )
+                            },
+                            round=_round,
+                        )
+                if ex is not None:
+                    explain.snapshot(
                         "aba.round",
                         round=_round,
                         ann=p,

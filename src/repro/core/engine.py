@@ -499,8 +499,8 @@ class TopKDominatingEngine:
     ) -> Tuple[List[ResultItem], QueryStats, "explain_mod.QueryPlan"]:
         """Run the query and return ``(results, stats, QueryPlan)``.
 
-        Identical execution to :meth:`top_k_dominating` — the explain
-        collector is a strict observer, so results and every
+        Identical execution to :meth:`top_k_dominating` — explain is a
+        strict observer, so results and every
         deterministic cost counter are bit-identical to an unexplained
         run (pinned by ``tests/test_explain_neutrality.py``).  On top
         of the stats, the returned :class:`repro.obs.explain.QueryPlan`
@@ -508,42 +508,29 @@ class TopKDominatingEngine:
         heap/threshold snapshots and per-phase self-attributed cost
         deltas.
 
-        When a trace is already ambient (e.g. under the service's
-        tracer) the execution's spans land in that tracer and the plan
-        slices out its own subtree; otherwise a private tracer is used
-        and discarded afterwards.
+        The run is one explain scope
+        (:func:`repro.obs.explain.explained`): under an ambient trace
+        (e.g. the service's tracer) its spans land in that tracer,
+        otherwise in a private one; either way the plan is built from
+        the captured ``engine.explain`` subtree.
         """
         algorithm = canonical_algorithm(algorithm, "explain")
         context = self.make_context()
-        probe = self.cost_probe(context)
-        collector = explain_mod.ExplainCollector(probe=probe)
-        scope = trace.capture()
-        own_tracer = None
-        if scope is None:
-            own_tracer = trace.Tracer()
-            root_context = own_tracer.trace(
-                "engine.explain", category="engine", probe=probe
+
+        def body():
+            results, stats = self._measured_run(
+                query_ids, k, algorithm, pruning, context
             )
-        else:
-            root_context = trace.span(
-                "engine.explain", category="engine", probe=probe
+            header = explain_mod.plan_header(
+                algorithm, query_ids, k, context.n, stats
             )
-        with explain_mod.attach(collector):
-            with root_context as root_span:
-                results, stats = self._measured_run(
-                    query_ids, k, algorithm, pruning, context
-                )
-                root_id = root_span.span_id
-        tracer = own_tracer if own_tracer is not None else scope.tracer
-        plan = explain_mod.build_plan(
-            algorithm=algorithm,
-            query_ids=query_ids,
-            k=k,
-            n=context.n,
-            stats=stats,
-            collector=collector,
-            spans=tracer.export(),
-            root_id=root_id,
+            return (results, stats), header
+
+        (results, stats), plan = explain_mod.explained(
+            "engine.explain",
+            "engine",
+            self.cost_probe(context),
+            body,
             backend=self.index_kind,
         )
         return results, stats, plan

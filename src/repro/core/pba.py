@@ -134,10 +134,10 @@ class _PBARun:
         self._reported: Set[int] = set()
         self._epoch = itertools.count()
         # explain funnel accounting — pure in-memory counters, only
-        # maintained when an explain collector is ambient; every hook
-        # below is guarded by ``self.explain is not None`` so the
-        # unexplained path pays nothing.
-        self.explain = explain_mod.active()
+        # maintained under an explain scope; every hook below is
+        # guarded by ``self.explain is not None`` so the unexplained
+        # path pays nothing.
+        self.explain = trace.explaining()
         if self.explain is not None:
             self._ex_seen = 0  # objects with >= 1 retrieval
             self._ex_common = 0  # objects seen in all m streams
@@ -383,7 +383,7 @@ class _PBARun:
             if self.G is None or new_g > self.G:
                 self.G = new_g
                 if self.explain is not None:
-                    self.explain.snapshot(
+                    explain_mod.snapshot(
                         "pba.G",
                         G=self.G,
                         exact_scores=len(self._exact_info),
@@ -505,7 +505,7 @@ class _PBARun:
             )
             confirmed = threshold is None or score >= threshold
             if self.explain is not None:
-                self.explain.snapshot(
+                explain_mod.snapshot(
                     "pba.confirm",
                     object_id=object_id,
                     score=score,
@@ -522,7 +522,7 @@ class _PBARun:
             )
 
     def finalize_explain(self) -> None:
-        """Record the run-level funnel stages on the ambient collector.
+        """Record the run-level funnel stages as explain instants.
 
         Every stage conserves by construction: each of the ``n``
         objects lands in exactly one bucket per stage (see the
@@ -530,14 +530,14 @@ class _PBARun:
         attached here — per-phase distance deltas live in the plan's
         span-attributed ``phases`` section.
         """
-        ex = self.explain
-        if ex is None:
+        if self.explain is None:
             return
-        ex.add_stage(
+        stage = explain_mod.stage
+        stage(
             "pba.retrieval",
-            entering=self.n,
-            survivors=self._ex_common,
-            discards={
+            self.n,
+            self._ex_common,
+            {
                 "never retrieved (streams stopped early)": (
                     self.n - self._ex_seen
                 ),
@@ -546,11 +546,11 @@ class _PBARun:
                 ),
             },
         )
-        ex.add_stage(
+        stage(
             "pba.candidacy",
-            entering=self._ex_common,
-            survivors=self._ex_candidates,
-            discards=self._ex_register,
+            self._ex_common,
+            self._ex_candidates,
+            self._ex_register,
         )
         confirm = dict(self._ex_confirm)
         leftover = (
@@ -560,17 +560,12 @@ class _PBARun:
         )
         if leftover:
             confirm["unconfirmed at termination (work avoided)"] = leftover
-        ex.add_stage(
-            "pba.confirmation",
-            entering=self._ex_candidates,
-            survivors=self._ex_scored,
-            discards=confirm,
-        )
-        ex.add_stage(
+        stage("pba.confirmation", self._ex_candidates, self._ex_scored, confirm)
+        stage(
             "pba.report",
-            entering=self._ex_scored,
-            survivors=len(self._reported),
-            discards={
+            self._ex_scored,
+            len(self._reported),
+            {
                 "exactly scored but outside the final top-k": (
                     self._ex_scored - len(self._reported)
                 )

@@ -87,15 +87,6 @@ class TopKAlgorithm(abc.ABC):
         """Materialize the full top-k answer."""
         return list(self.run(query_ids, k))
 
-    def _explain(self):
-        """The ambient explain collector, or ``None`` when explain is
-        off.  Algorithms resolve this once per run (a single
-        ``ContextVar.get``) and guard every funnel/timeline hook with
-        ``if ex is not None`` so the unexplained path stays free."""
-        from repro.obs import explain
-
-        return explain.active()
-
     # ------------------------------------------------------------------
     # shared validation
     # ------------------------------------------------------------------

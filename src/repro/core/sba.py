@@ -23,7 +23,7 @@ from typing import Iterator, List, Sequence, Set
 
 from repro.core.dominance import DistanceVectorSource, DominanceMatrix
 from repro.core.progressive import QueryContext, ResultItem, TopKAlgorithm
-from repro.obs import trace
+from repro.obs import explain, trace
 from repro.skyline.b2ms2 import metric_skyline
 
 
@@ -43,7 +43,7 @@ class SBA(TopKAlgorithm):
     ) -> Iterator[ResultItem]:
         self._validate(query_ids, k)
         ctx = self.context
-        ex = self._explain()
+        ex = trace.explaining()
         vectors = DistanceVectorSource(ctx.space, query_ids)
         removed: Set[int] = set()
         universe: List[int] = list(ctx.tree.object_ids())
@@ -59,24 +59,22 @@ class SBA(TopKAlgorithm):
                 "sba.round", category="algo", args={"round": _round}
             ) as round_span:
                 remaining = len(universe) - len(removed)
-                stage = (
-                    ex.stage("sba.skyline", remaining, round=_round)
-                    if ex is not None
-                    else None
-                )
-                with trace.span("sba.skyline", category="algo"):
+                with trace.span("sba.skyline", category="algo") as stage:
                     skyline = metric_skyline(
                         ctx.tree, query_ids, vectors=vectors, skip=removed
                     )
-                if stage is not None:
-                    stage.close(
-                        survivors=len(skyline),
-                        discards={
-                            "dominated by a skyline object (Lemma 1)": (
-                                remaining - len(skyline)
-                            )
-                        },
-                    )
+                    if ex is not None:
+                        explain.close_stage(
+                            stage,
+                            remaining,
+                            len(skyline),
+                            {
+                                "dominated by a skyline object (Lemma 1)": (
+                                    remaining - len(skyline)
+                                )
+                            },
+                            round=_round,
+                        )
                 if not skyline:
                     return
                 round_span.set("skyline_size", len(skyline))
@@ -84,12 +82,7 @@ class SBA(TopKAlgorithm):
                     matrix = DominanceMatrix(vectors, universe)
                 best_id = -1
                 best_score = -1
-                stage = (
-                    ex.stage("sba.score", len(skyline), round=_round)
-                    if ex is not None
-                    else None
-                )
-                with trace.span("sba.score", category="algo"):
+                with trace.span("sba.score", category="algo") as stage:
                     for object_id in skyline:
                         score = matrix.score(object_id)
                         ctx.stats.exact_score_computations += 1
@@ -98,16 +91,20 @@ class SBA(TopKAlgorithm):
                         ):
                             best_score = score
                             best_id = object_id
-                if stage is not None:
-                    stage.close(
-                        survivors=1,
-                        discards={
-                            "lower exact score than the round winner": (
-                                len(skyline) - 1
-                            )
-                        },
-                    )
-                    ex.snapshot(
+                    if ex is not None:
+                        explain.close_stage(
+                            stage,
+                            len(skyline),
+                            1,
+                            {
+                                "lower exact score than the round winner": (
+                                    len(skyline) - 1
+                                )
+                            },
+                            round=_round,
+                        )
+                if ex is not None:
+                    explain.snapshot(
                         "sba.round",
                         round=_round,
                         skyline_size=len(skyline),

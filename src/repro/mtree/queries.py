@@ -26,7 +26,7 @@ from typing import Iterator, List, Optional, Set, Tuple
 from repro.metric.safety import safe_lower_bound
 from repro.mtree.node import MTreeNode, RoutingEntry
 from repro.mtree.tree import MTree, Query
-from repro.obs import explain as explain_mod
+from repro.obs import trace
 
 # heap item kinds, also used as coarse tie-breakers: exact objects
 # first so equal-key approximations are refined after exact items of
@@ -66,7 +66,7 @@ class IncrementalNNCursor:
         self._heap: List[Tuple[float, int, int, tuple]] = []
         # resolved once per cursor; every explain hook below is guarded
         # with ``is not None`` so the unexplained path stays free.
-        self._explain = explain_mod.active()
+        self._explain = trace.explaining()
         # backend pruning hook: None for the plain M-tree (keeping the
         # exact pre-protocol code path); the PM-tree returns its
         # hyper-ring filter, whose bounds tighten heap keys below.
@@ -227,7 +227,7 @@ def range_query(
     queries with radii taken from exact object distances (ABA line 5).
     """
     results: List[Tuple[int, float]] = []
-    ex = explain_mod.active()
+    ex = trace.explaining()
     # backend pruning hook (None for the plain M-tree — exact
     # pre-protocol behavior; the PM-tree's hyper-ring bounds prune
     # entries here without any distance computation).

@@ -9,9 +9,10 @@
   JSON (Perfetto-loadable), with schema validation.
 * :mod:`repro.obs.summary` — per-phase cost shares and top-N analysis.
 * :mod:`repro.obs.explain` — structured ``QueryPlan`` explain
-  artifacts: pruning funnels, index visit profiles, heap/threshold
-  timelines; strictly observational (explain off is a no-op, explain
-  on changes no result or deterministic counter).
+  artifacts, built from one captured trace scope: pruning funnels,
+  index visit profiles, heap/threshold timelines; strictly
+  observational (explain off is a no-op, explain on changes no result
+  or deterministic counter).
 * :mod:`repro.obs.logging` — stdlib-``logging`` JSON formatter that
   stamps records with the active trace/span id.
 * :mod:`repro.obs.monitor` — self-monitoring: the ring-buffer
@@ -31,7 +32,6 @@
 """
 
 from repro.obs.explain import (
-    ExplainCollector,
     QueryPlan,
     build_plan,
     format_plan,
@@ -86,7 +86,6 @@ __all__ = [
     "Counter",
     "CounterRatioSource",
     "DriftRule",
-    "ExplainCollector",
     "Gauge",
     "HealthLimits",
     "Histogram",

@@ -1,60 +1,67 @@
 """EXPLAIN/ANALYZE introspection for metric top-k dominating queries.
 
 The span tracer (:mod:`repro.obs.trace`) answers *where* a query spent
-the paper's cost counters; this module answers *why the rest was never
-spent*: which lemma discarded which candidates, how the M-tree descent
-pruned per level, and how the PBA threshold closed in on the answer.
+the paper's cost counters; an explain plan also answers *why the rest
+was never spent*: which lemma discarded which candidates, how the index
+descent pruned per level, and how the PBA threshold closed in on the
+answer.
 
-An explained execution produces a :class:`QueryPlan` — a structured,
-JSON-serializable artifact with four sections:
+Explain is one trace scope.  :func:`explained` opens a root span (a
+child of the ambient trace, or the root of a private tracer), runs the
+execution under it and captures the root's span subtree through a
+tracer listener — which also sees spans the tracer's capacity bound
+drops.  Everything the plan shows is data on that subtree:
 
-* **phases** — per-span-name *self* cost attribution (the
-  :mod:`repro.obs.summary` machinery over the execution's own span
-  subtree).  The self distance computations of all phases sum exactly
-  to ``QueryStats.distance_computations``.
+* **phases** — per-span-name *self* cost attribution
+  (:func:`repro.obs.summary.phase_summary`).  The self distance
+  computations of all phases sum exactly to
+  ``QueryStats.distance_computations``.
 * **funnel** — candidates entering/surviving each pruning phase, with
-  a per-rule breakdown of the discards.  Every funnel stage conserves:
+  a per-rule breakdown of the discards.  A stage is either a span
+  carrying ``entering``/``survivors``/``discards`` args (its ``costs``
+  are the span's own cost delta) or a ``funnel`` instant recorded after
+  the fact.  Every stage conserves:
   ``entering == survivors + sum(discards.values())`` (the validator
-  enforces it, and a hypothesis property test pins it across all four
-  algorithms).
-* **index_profile** — per-level index visit counters, tagged with the
-  backend that produced them (``"mtree"``, ``"pmtree"``, ...): nodes
-  visited, entries seen, parent-distance prune hits (each one is
-  exactly one avoided distance computation), covering-radius prune
-  hits, backend-filter (hyper-ring) prune hits, distance batch sizes,
-  and per-level I/O charged through the existing thread-local buffer
-  accounting.
-* **timeline** — heap/threshold evolution snapshots (bounded; drops
-  are counted, never silent).
+  enforces it, and a hypothesis property test pins it).
+* **index_profile** — per-level index visit counters, accumulated by
+  the :class:`IndexProfile` that rides on the explain scope and
+  attached to the root span, tagged with the backend that produced
+  them (``"mtree"``, ``"pmtree"``, ...).
+* **timeline** — heap/threshold evolution as ``timeline`` instants
+  (bounded; drops are counted, never silent).
 
-Like tracing, explain is a **strict observer** with an ambient
-``ContextVar`` and a no-op fast path: explain off costs one
-``ContextVar.get`` per hook site, and explain on reads only in-memory
-integers and the per-thread counters — it never touches a page, a
-metric or an RNG, so results and every deterministic cost counter stay
-bit-identical (``tests/test_explain_neutrality.py`` pins this).
+Funnel args and the instants are recorded only under an explain scope,
+so plain traces do not change.  Explain is a **strict observer**:
+explain off costs one ``ContextVar.get`` per hook site
+(:func:`repro.obs.trace.explaining`), and explain on reads only
+in-memory integers and the per-thread counters — it never touches a
+page, a metric or an RNG of its own, so results and every
+deterministic cost counter stay bit-identical
+(``tests/test_explain_neutrality.py`` pins this).
 """
 
 from __future__ import annotations
 
 import json
-from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
+from repro.obs import trace
 from repro.obs.summary import phase_summary
-from repro.obs.trace import CostSnapshot
 
 __all__ = [
-    "ExplainCollector",
+    "IndexProfile",
     "PLAN_FORMAT",
     "QUERY_PLAN_SCHEMA",
     "QueryPlan",
-    "active",
-    "attach",
     "build_plan",
+    "close_stage",
+    "explained",
     "format_plan",
     "load_plan",
+    "plan_header",
+    "snapshot",
+    "stage",
     "validate_plan",
 ]
 
@@ -65,139 +72,31 @@ PLAN_FORMAT = "repro-plan/1"
 #: ``timeline_dropped``, never silently ignored.
 TIMELINE_CAPACITY = 10_000
 
-#: probe signature (same as the tracer's): read the calling thread's
-#: paper cost counters, cheaply and without touching a page.
-CostProbe = Callable[[], CostSnapshot]
+#: categories of the explain-only instants.
+FUNNEL = "funnel"
+TIMELINE = "timeline"
+
+T = TypeVar("T")
 
 
-class _Stage:
-    """An open funnel stage; :meth:`close` records it on the collector.
+class IndexProfile:
+    """Per-level index visit counters of one explained execution.
 
-    When the collector carries a cost probe, the stage also records the
-    counter delta between open and close — the distance computations
-    this stage *paid* (its discards are what it *avoided* downstream).
+    Instrumented index code reaches the profile of the ambient explain
+    scope via :func:`repro.obs.trace.explaining` (``None`` when explain
+    is off — the only cost of the disabled path).  All methods read
+    in-memory integers only; the single method that touches storage,
+    :meth:`get_page`, performs exactly the page fetch the caller would
+    have performed anyway and merely attributes its I/O delta to an
+    index level.
     """
 
-    __slots__ = ("_collector", "_record", "_cost0")
+    __slots__ = ("_levels", "_ops")
 
-    def __init__(
-        self,
-        collector: "ExplainCollector",
-        record: Dict[str, Any],
-        cost0: Optional[CostSnapshot],
-    ) -> None:
-        self._collector = collector
-        self._record = record
-        self._cost0 = cost0
-
-    def close(
-        self,
-        survivors: int,
-        discards: Optional[Mapping[str, int]] = None,
-        note: Optional[str] = None,
-    ) -> None:
-        record = self._record
-        record["survivors"] = int(survivors)
-        record["discards"] = {
-            str(rule): int(count)
-            for rule, count in (discards or {}).items()
-            if int(count) != 0
-        }
-        if note is not None:
-            record["note"] = note
-        probe = self._collector._probe
-        if probe is not None and self._cost0 is not None:
-            record["costs"] = probe().delta_since(self._cost0).as_dict()
-        self._collector._append_stage(record)
-
-
-class ExplainCollector:
-    """Accumulates one execution's funnel, index profile and timeline.
-
-    Instrumented code reaches the ambient collector via
-    :func:`active` (``None`` when explain is off — the only cost of
-    the disabled path) and records through the methods below.  All of
-    them read in-memory integers only; the single method that touches
-    storage, :meth:`get_page`, performs exactly the page fetch the
-    caller would have performed anyway and merely attributes its I/O
-    delta to an index level.
-    """
-
-    __slots__ = (
-        "_probe",
-        "_funnel",
-        "_levels",
-        "_ops",
-        "_timeline",
-        "timeline_dropped",
-        "_rules",
-    )
-
-    def __init__(self, probe: Optional[CostProbe] = None) -> None:
-        self._probe = probe
-        self._funnel: List[Dict[str, Any]] = []
+    def __init__(self) -> None:
         self._levels: Dict[int, Dict[str, int]] = {}
         self._ops: Dict[str, int] = {}
-        self._timeline: List[Dict[str, Any]] = []
-        self.timeline_dropped = 0
-        self._rules: Dict[str, int] = {}
 
-    # ------------------------------------------------------------------
-    # funnel
-    # ------------------------------------------------------------------
-    def stage(
-        self,
-        phase: str,
-        entering: int,
-        round: Optional[int] = None,
-        **meta: Any,
-    ) -> _Stage:
-        """Open a funnel stage; close it with survivors and discards."""
-        record: Dict[str, Any] = {"phase": phase, "entering": int(entering)}
-        if round is not None:
-            record["round"] = int(round)
-        record.update(meta)
-        cost0 = self._probe() if self._probe is not None else None
-        return _Stage(self, record, cost0)
-
-    def add_stage(
-        self,
-        phase: str,
-        entering: int,
-        survivors: int,
-        discards: Optional[Mapping[str, int]] = None,
-        round: Optional[int] = None,
-        note: Optional[str] = None,
-    ) -> None:
-        """Record a pre-computed funnel stage (no cost delta attached)."""
-        record: Dict[str, Any] = {
-            "phase": phase,
-            "entering": int(entering),
-            "survivors": int(survivors),
-            "discards": {
-                str(rule): int(count)
-                for rule, count in (discards or {}).items()
-                if int(count) != 0
-            },
-        }
-        if round is not None:
-            record["round"] = int(round)
-        if note is not None:
-            record["note"] = note
-        self._append_stage(record)
-
-    def _append_stage(self, record: Dict[str, Any]) -> None:
-        self._funnel.append(record)
-        for rule, count in record.get("discards", {}).items():
-            self._rules[rule] = self._rules.get(rule, 0) + count
-
-    def rule(self, name: str, count: int = 1) -> None:
-        """Count a pruning-rule hit outside any funnel stage."""
-        self._rules[name] = self._rules.get(name, 0) + count
-
-    # ------------------------------------------------------------------
-    # per-level index visit profile
-    # ------------------------------------------------------------------
     def _level_row(self, level: int) -> Dict[str, int]:
         row = self._levels.get(level)
         if row is None:
@@ -293,74 +192,141 @@ class ExplainCollector:
         row["buffer_hits"] += stats.buffer_hits - hits0
         return page
 
-    # ------------------------------------------------------------------
-    # heap / threshold timeline
-    # ------------------------------------------------------------------
-    def snapshot(self, phase: str, **fields: Any) -> None:
-        """Record one timeline entry (bounded at TIMELINE_CAPACITY)."""
-        if len(self._timeline) >= TIMELINE_CAPACITY:
-            self.timeline_dropped += 1
-            return
-        entry: Dict[str, Any] = {"phase": phase}
-        entry.update(fields)
-        self._timeline.append(entry)
-
-    # ------------------------------------------------------------------
-    # assembly
-    # ------------------------------------------------------------------
-    @property
-    def funnel(self) -> List[Dict[str, Any]]:
-        return list(self._funnel)
-
-    def index_profile(self) -> Dict[str, Any]:
+    def as_dict(self, backend: Optional[str] = None) -> Dict[str, Any]:
+        """The plan's ``index_profile`` section."""
         levels = [self._levels[lvl] for lvl in sorted(self._levels)]
-        return {"levels": levels, "ops": dict(self._ops)}
-
-    def timeline(self) -> List[Dict[str, Any]]:
-        return list(self._timeline)
-
-    def discard_rules(self) -> Dict[str, int]:
-        return dict(self._rules)
+        profile: Dict[str, Any] = {"levels": levels, "ops": dict(self._ops)}
+        if backend is not None:
+            profile["backend"] = backend
+        return profile
 
 
 # ----------------------------------------------------------------------
-# ambient collector (mirrors repro.obs.trace's scope handling)
+# funnel and timeline hooks (call only under an explain scope)
 # ----------------------------------------------------------------------
-_EXPLAIN: "ContextVar[Optional[ExplainCollector]]" = ContextVar(
-    "repro_obs_explain", default=None
-)
+def _stage_args(
+    entering: int, survivors: int, discards: Mapping[str, int], **extra: Any
+) -> Dict[str, Any]:
+    args: Dict[str, Any] = {
+        "entering": int(entering),
+        "survivors": int(survivors),
+        "discards": {
+            str(rule): int(count)
+            for rule, count in discards.items()
+            if int(count) != 0
+        },
+    }
+    args.update((key, value) for key, value in extra.items() if value is not None)
+    return args
 
 
-def active() -> Optional[ExplainCollector]:
-    """The ambient collector, or ``None`` when explain is off.
+def close_stage(
+    span_obj: Any,
+    entering: int,
+    survivors: int,
+    discards: Mapping[str, int],
+    *,
+    round: Optional[int] = None,
+    note: Optional[str] = None,
+) -> None:
+    """Make the open span ``span_obj`` a funnel stage of the same name.
 
-    One ``ContextVar.get`` — the entire cost of the disabled path.
+    The stage's ``costs`` are the span's own cost delta — what the
+    stage *paid* (its discards are what it *avoided* downstream).
     """
-    return _EXPLAIN.get()
+    span_obj.args.update(
+        _stage_args(entering, survivors, discards, round=round, note=note)
+    )
 
 
-class attach:
-    """Make ``collector`` ambient for the ``with`` block (re-entrant).
+def stage(
+    phase: str,
+    entering: int,
+    survivors: int,
+    discards: Mapping[str, int],
+    *,
+    note: Optional[str] = None,
+) -> None:
+    """Record a funnel stage computed after the fact (an instant)."""
+    trace.event(phase, FUNNEL, _stage_args(entering, survivors, discards, note=note))
 
-    ``None`` is accepted and is a no-op, so call sites handing a
-    captured collector to another thread need no branching.
+
+def snapshot(phase: str, **fields: Any) -> None:
+    """Record one heap/threshold timeline entry (an instant)."""
+    trace.event(phase, TIMELINE, fields)
+
+
+# ----------------------------------------------------------------------
+# the explain run
+# ----------------------------------------------------------------------
+def plan_header(
+    algorithm: str,
+    query_ids: Sequence[int],
+    k: int,
+    n: int,
+    stats: Any = None,
+) -> Dict[str, Any]:
+    """What an explained body reports about itself: the plan's
+    identity and its ``QueryStats`` as the flat ``counters`` mapping
+    (empty when the body measures no stats)."""
+    return {
+        "algorithm": algorithm,
+        "query_ids": [int(q) for q in query_ids],
+        "k": int(k),
+        "n": int(n),
+        "counters": stats_counters(stats) if stats is not None else {},
+    }
+
+
+def explained(
+    name: str,
+    category: str,
+    probe: Optional[trace.CostProbe],
+    body: Callable[[], Tuple[T, Dict[str, Any]]],
+    *,
+    backend: Optional[str] = None,
+) -> Tuple[T, "QueryPlan"]:
+    """Run ``body`` as one explain scope; return ``(value, plan)``.
+
+    ``body()`` returns ``(value, header)`` with ``header`` from
+    :func:`plan_header`.  The root span ``name`` is a child of the
+    ambient trace, or the root of a private tracer when none is
+    ambient; ``probe`` gives it (and every span below) exact cost
+    deltas.  The root's subtree is captured through a tracer listener,
+    so spans the tracer's capacity bound drops still count.  The
+    header, the index profile (tagged with ``backend``) and the
+    timeline overflow are attached to the root span as args, and the
+    plan is :func:`build_plan` of the captured subtree.
     """
+    profile = IndexProfile()
+    tracer, root_context = trace.span_or_root(name, category, probe, profile)
+    captured: List[trace.Span] = []
+    timeline_kept = timeline_dropped = 0
 
-    __slots__ = ("_collector", "_token")
+    with root_context as root:
 
-    def __init__(self, collector: Optional[ExplainCollector]) -> None:
-        self._collector = collector
-        self._token = None
+        def keep(span_obj: trace.Span) -> None:
+            nonlocal timeline_kept, timeline_dropped
+            if span_obj.trace_id != root.trace_id:
+                return
+            if span_obj.category == TIMELINE and span_obj.phase == "i":
+                if timeline_kept >= TIMELINE_CAPACITY:
+                    timeline_dropped += 1
+                    return
+                timeline_kept += 1
+            captured.append(span_obj)
 
-    def __enter__(self) -> Optional[ExplainCollector]:
-        if self._collector is not None:
-            self._token = _EXPLAIN.set(self._collector)
-        return self._collector
-
-    def __exit__(self, *_exc: object) -> bool:
-        if self._token is not None:
-            _EXPLAIN.reset(self._token)
-        return False
+        unsubscribe = tracer.add_listener(keep)
+        try:
+            value, header = body()
+        finally:
+            unsubscribe()
+        root.args.update(header)
+        root.args["index_profile"] = profile.as_dict(backend)
+        root.args["timeline_dropped"] = timeline_dropped
+    captured.append(root)
+    spans = _subtree([span_obj.as_dict() for span_obj in captured], root.span_id)
+    return value, build_plan(spans)
 
 
 # ----------------------------------------------------------------------
@@ -487,32 +453,34 @@ def stats_counters(stats: Any) -> Dict[str, Any]:
     }
 
 
-def build_plan(
-    *,
-    algorithm: str,
-    query_ids: Sequence[int],
-    k: int,
-    n: int,
-    stats: Any,
-    collector: ExplainCollector,
-    spans: Sequence[Dict[str, Any]],
-    root_id: Optional[int] = None,
-    backend: Optional[str] = None,
-) -> QueryPlan:
-    """Assemble the plan from the collector and the execution's spans.
+def _funnel_stage(span: Mapping[str, Any]) -> Dict[str, Any]:
+    """One funnel stage from a span or instant carrying stage args."""
+    args = span["args"]
+    record: Dict[str, Any] = {"phase": span["name"]}
+    for key in ("entering", "round", "survivors", "discards", "note"):
+        if key in args:
+            record[key] = args[key]
+    if span.get("costs") is not None:
+        record["costs"] = dict(span["costs"])
+    return record
 
-    ``spans`` are native span dicts; ``root_id`` selects the explain
-    root's subtree (pass ``None`` when ``spans`` is already exactly
-    this execution's).  ``backend`` tags the index visit profile with
-    the index backend that produced it (``"mtree"``, ``"pmtree"``,
-    ...), so plans from different backends are distinguishable at
-    rest.  Phase rows are *self*-attributed via
+
+def build_plan(spans: Sequence[Dict[str, Any]]) -> QueryPlan:
+    """The plan of one captured explain subtree (native span dicts).
+
+    A pure function of the spans: the root (the one span whose parent
+    is outside the set) carries the header, the index profile and the
+    timeline overflow that :func:`explained` attached; stage args and
+    instants give the funnel and the timeline, in finish order.  Phase
+    rows are *self*-attributed via
     :func:`repro.obs.summary.phase_summary`, so their per-phase
-    distance deltas sum exactly to ``stats.distance_computations``.
+    distance deltas sum exactly to the root's
+    ``counters["distance_computations"]``.
     """
     span_list = list(spans)
-    if root_id is not None:
-        span_list = _subtree(span_list, root_id)
+    ids = {span["span_id"] for span in span_list}
+    root = next(s for s in span_list if s.get("parent_id") not in ids)
+    header = root["args"]
     phases = [
         {
             "name": row.name,
@@ -523,21 +491,28 @@ def build_plan(
         }
         for row in phase_summary(span_list)
     ]
-    index_profile = collector.index_profile()
-    if backend is not None:
-        index_profile["backend"] = backend
+    funnel = [_funnel_stage(s) for s in span_list if "survivors" in s["args"]]
+    discard_rules: Dict[str, int] = {}
+    for record in funnel:
+        for rule, count in record["discards"].items():
+            discard_rules[rule] = discard_rules.get(rule, 0) + count
+    timeline = [
+        {"phase": s["name"], **s["args"]}
+        for s in span_list
+        if s["ph"] == "i" and s["cat"] == TIMELINE
+    ]
     return QueryPlan(
-        algorithm=algorithm,
-        query_ids=tuple(int(q) for q in query_ids),
-        k=int(k),
-        n=int(n),
-        counters=stats_counters(stats),
+        algorithm=header["algorithm"],
+        query_ids=tuple(header["query_ids"]),
+        k=header["k"],
+        n=header["n"],
+        counters=dict(header["counters"]),
         phases=phases,
-        funnel=collector.funnel,
-        index_profile=index_profile,
-        timeline=collector.timeline(),
-        timeline_dropped=collector.timeline_dropped,
-        discard_rules=collector.discard_rules(),
+        funnel=funnel,
+        index_profile=header["index_profile"],
+        timeline=timeline,
+        timeline_dropped=header["timeline_dropped"],
+        discard_rules=discard_rules,
         spans=span_list,
     )
 

@@ -414,7 +414,7 @@ def _backends_cases(
     * ``<backend>/<dataset>/skyline/m=<v>`` — one B²MS² metric-skyline
       call per skyline-capable backend, recording distance
       computations and the backend's hyper-ring prune count (read from
-      an attached explain collector, a strict observer) — the cell
+      the index profile of an explained run, a strict observer) — the cell
       family where the PM-tree's rings must beat the plain M-tree.
     """
     from repro.api import open_engine
@@ -513,16 +513,23 @@ def _backends_cases(
             metric = engine.counting_metric
             distances_before = metric.count
             io_before = engine.buffers.combined_io()
-            collector = explain_mod.ExplainCollector()
+
+            def body():
+                header = explain_mod.plan_header(
+                    "b2ms2.skyline", query_ids, 0, len(engine.tree)
+                )
+                return metric_skyline(engine.tree, query_ids), header
+
             started = clock()
-            with explain_mod.attach(collector):
-                skyline = metric_skyline(engine.tree, query_ids)
+            skyline, plan = explain_mod.explained(
+                "bench.skyline", "bench", None, body, backend=backend
+            )
             wall = clock() - started
             distances = metric.count - distances_before
             io = engine.buffers.combined_io().delta_since(io_before)
             ring_prunes = sum(
                 row.get("hyper_ring_prunes", 0)
-                for row in collector.index_profile()["levels"]
+                for row in plan.index_profile["levels"]
             )
             return CaseSample(
                 wall_seconds=wall,

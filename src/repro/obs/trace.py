@@ -44,7 +44,7 @@ import threading
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.storage.stats import PAGE_FAULT_COST_SECONDS
 
@@ -57,7 +57,9 @@ __all__ = [
     "attach",
     "capture",
     "event",
+    "explaining",
     "span",
+    "span_or_root",
     "NOOP_SPAN",
 ]
 
@@ -224,12 +226,18 @@ _NOOP_CONTEXT = _NoopContext()
 
 @dataclass(frozen=True)
 class TraceScope:
-    """The ambient tracing state: who records, under which parent."""
+    """The ambient tracing state: who records, under which parent.
+
+    ``profile`` is the explain run's index-profile accumulator
+    (:class:`repro.obs.explain.IndexProfile`) under an explain scope,
+    ``None`` otherwise; child spans inherit it like the probe.
+    """
 
     tracer: "Tracer"
     trace_id: int
     span: Optional[Span]
     probe: Optional[CostProbe]
+    profile: Optional[Any] = None
 
 
 _SCOPE: "ContextVar[Optional[TraceScope]]" = ContextVar(
@@ -371,6 +379,7 @@ class _SpanContext:
         "_category",
         "_args",
         "_probe",
+        "_profile",
         "_span",
         "_token",
         "_cost0",
@@ -385,6 +394,7 @@ class _SpanContext:
         category: str,
         args: Optional[Dict[str, Any]],
         probe: Optional[CostProbe],
+        profile: Optional[Any] = None,
     ) -> None:
         self._tracer = tracer
         self._trace_id = trace_id
@@ -393,6 +403,7 @@ class _SpanContext:
         self._category = category
         self._args = args
         self._probe = probe
+        self._profile = profile
 
     def __enter__(self) -> Span:
         tracer = self._tracer
@@ -412,6 +423,7 @@ class _SpanContext:
                 trace_id=self._trace_id,
                 span=self._span,
                 probe=self._probe,
+                profile=self._profile,
             )
         )
         return self._span
@@ -456,6 +468,37 @@ def span(
         category=category,
         args=args,
         probe=probe if probe is not None else scope.probe,
+        profile=scope.profile,
+    )
+
+
+def span_or_root(
+    name: str,
+    category: str,
+    probe: Optional[CostProbe],
+    profile: Optional[Any],
+) -> Tuple[Tracer, _SpanContext]:
+    """Open ``name`` with its own probe and explain profile.
+
+    Under an ambient scope the span is a child of it, recorded by the
+    ambient tracer; otherwise it is the root of a new trace on a
+    private :class:`Tracer`.  Returns ``(tracer, context manager)``.
+    """
+    scope = _SCOPE.get()
+    if scope is None:
+        tracer = Tracer()
+        trace_id, parent = next(tracer._trace_ids), None
+    else:
+        tracer, trace_id, parent = scope.tracer, scope.trace_id, scope.span
+    return tracer, _SpanContext(
+        tracer=tracer,
+        trace_id=trace_id,
+        parent=parent,
+        name=name,
+        category=category,
+        args=None,
+        probe=probe,
+        profile=profile,
     )
 
 
@@ -491,6 +534,16 @@ def active() -> bool:
     return _SCOPE.get() is not None
 
 
+def explaining() -> Optional[Any]:
+    """The ambient explain profile, or ``None`` when not explaining.
+
+    One ``ContextVar.get`` — the entire cost of explain off at a hook
+    site.
+    """
+    scope = _SCOPE.get()
+    return scope.profile if scope is not None else None
+
+
 def capture() -> Optional[TraceScope]:
     """The ambient scope, for handing to another thread (or ``None``)."""
     return _SCOPE.get()
@@ -523,9 +576,3 @@ class attach:
             _SCOPE.reset(self._token)
         return False
 
-
-def iter_roots(spans: List[Span]) -> Iterator[Span]:
-    """Yield root spans (no parent) from a span list."""
-    for span_obj in spans:
-        if span_obj.parent_id is None and span_obj.phase == "X":
-            yield span_obj

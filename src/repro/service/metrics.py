@@ -21,7 +21,7 @@ The shared global counters still exist and stay exact in aggregate.
 from __future__ import annotations
 
 import threading
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.obs.registry import Histogram
 from repro.storage.stats import QueryStats
@@ -87,6 +87,8 @@ class ServiceMetrics:
         )
         self.latency_write = Histogram("latency_write", bounds=REQUEST_BOUNDS)
         self._per_algorithm: Dict[str, _AlgorithmAggregate] = {}
+        self.explain_requests = 0
+        self.last_plan: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # recording
@@ -125,6 +127,16 @@ class ServiceMetrics:
                     _AlgorithmAggregate()
                 )
             aggregate.merge(stats)
+
+    def _observe_explain(self, plan_summary: dict) -> None:
+        """Count one explained execution and keep its plan digest.
+
+        Service-internal (called by ``QueryService``), so it stays off
+        the public API surface.
+        """
+        with self._lock:
+            self.explain_requests += 1
+            self.last_plan = plan_summary
 
     def observe_rejection(self, overloaded: bool) -> None:
         """Count a typed admission rejection."""
@@ -182,6 +194,10 @@ class ServiceMetrics:
                 name: aggregate.snapshot()
                 for name, aggregate in sorted(self._per_algorithm.items())
             }
+            explain = {
+                "requests": self.explain_requests,
+                "last_plan": self.last_plan,
+            }
         return {
             "requests": requests,
             "latency": {
@@ -191,4 +207,5 @@ class ServiceMetrics:
                 "write": self.latency_write.snapshot(),
             },
             "per_algorithm": per_algorithm,
+            "explain": explain,
         }

@@ -319,8 +319,6 @@ class QueryService:
             }
         )
         self.registry = MetricsRegistry()
-        self._explain_requests = 0
-        self._last_plan_summary: Optional[dict] = None
         self._register_collectors()
         self._detach_phase_listener: Optional[Any] = None
         if self.tracer is not None:
@@ -408,7 +406,6 @@ class QueryService:
                 self.tracer.snapshot() if self.tracer is not None else None
             ),
         )
-        registry.register_collector("explain", self._explain_snapshot)
 
     #: finer-than-default bounds for per-phase spans, which sit well
     #: below request latencies (10 us up to ~167 s, x4 per bucket).
@@ -435,13 +432,6 @@ class QueryService:
             help=f"wall seconds of the {span_obj.name} algorithm phase",
             bounds=self.PHASE_BOUNDS,
         ).observe(span_obj.duration)
-
-    def _explain_snapshot(self) -> dict:
-        """Explain-path counters plus a digest of the last plan built."""
-        return {
-            "requests": self._explain_requests,
-            "last_plan": self._last_plan_summary,
-        }
 
     def _build_snapshot(self) -> dict:
         """Who produced these numbers: build + run-mode attribution.
@@ -994,8 +984,7 @@ class QueryService:
         finally:
             self._engine_lock.release_read()
         self.metrics.observe_execution(request.algorithm, stats)
-        self._explain_requests += 1
-        self._last_plan_summary = plan.summary()
+        self.metrics._observe_explain(plan.summary())
         self._io_stall(stats)
         return results, stats, epoch, plan
 

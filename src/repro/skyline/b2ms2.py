@@ -30,7 +30,7 @@ from repro.core.dominance import DistanceVectorSource, DominatorSet
 from repro.metric.safety import safe_lower_bound
 from repro.mtree.node import MTreeNode, RoutingEntry
 from repro.mtree.tree import MTree
-from repro.obs import explain as explain_mod
+from repro.obs import explain, trace
 
 _KIND_OBJECT = 0
 _KIND_NODE = 1
@@ -83,7 +83,7 @@ def metric_skyline_cursor(
     source = vectors or DistanceVectorSource(tree.space, query_ids)
     hidden = skip if skip is not None else set()
     counter = itertools.count()
-    ex = explain_mod.active()
+    ex = trace.explaining()
     # backend pruning hook: None for the plain M-tree (the exact
     # pre-protocol path).  The PM-tree returns hyper-ring bounds that
     # let an entry be discarded *before* its distance vector is
@@ -190,15 +190,11 @@ def metric_skyline_cursor(
         push_node(ident, level)
 
     if ex is not None:
-        ex.add_stage(
+        explain.stage(
             "b2ms2.skyline",
-            entering=obj_popped,
-            survivors=obj_kept,
-            discards={
-                "dominated by a found skyline object (Def. 3)": (
-                    obj_dominated
-                )
-            },
+            obj_popped,
+            obj_kept,
+            {"dominated by a found skyline object (Def. 3)": obj_dominated},
             note=(
                 f"regions pruned={regions_pruned}, "
                 f"hyper-ring pruned={ring_pruned}"

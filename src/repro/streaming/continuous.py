@@ -410,64 +410,42 @@ class ContinuousTopK:
     ) -> Tuple[Optional[ResultDelta], "explain_mod.QueryPlan"]:
         """Apply one update and return ``(delta, plan)``.
 
-        Runs :meth:`add_object` / :meth:`remove_object` under an
-        explain collector (and a private tracer when none is ambient),
-        so the plan carries the repair funnel — comparable ball vs
-        incomparable remainder — plus the per-update cost counters.
-        The update itself is applied exactly as without explain.
+        Runs :meth:`add_object` / :meth:`remove_object` as one explain
+        scope (:func:`repro.obs.explain.explained`), so the plan
+        carries the repair funnel — comparable ball vs incomparable
+        remainder — plus the update's cost counters (``last_stats`` of
+        every applied update; zero for a no-op).  The update itself is
+        applied exactly as without explain.
         """
         if op not in ("insert", "delete"):
             raise ValueError("op must be 'insert' or 'delete'")
-        buffers = self.engine.buffers
-        metric = self.engine.counting_metric
+        apply = self.add_object if op == "insert" else self.remove_object
 
-        def probe() -> trace.CostSnapshot:
-            io = buffers.local_io()
-            return trace.CostSnapshot(
-                page_faults=io.page_faults,
-                buffer_hits=io.buffer_hits,
-                distance_computations=metric.local_count(),
-                exact_score_computations=self._exact_total,
+        def body():
+            updates = self.counters["updates"]
+            delta = apply(object_id)
+            # an applied update may leave the top-k unchanged (delta is
+            # None) yet still costs what last_stats measured.
+            applied = self.counters["updates"] != updates
+            stats = self.last_stats if applied else QueryStats()
+            header = explain_mod.plan_header(
+                f"stream.{op}",
+                self.query.query_ids,
+                self.query.k,
+                self._n,
+                stats,
             )
+            return delta, header
 
-        collector = explain_mod.ExplainCollector(probe=probe)
-        scope = trace.capture()
-        own_tracer = None
-        if scope is None:
-            own_tracer = trace.Tracer()
-            root_context = own_tracer.trace(
-                "stream.explain", category="stream", probe=probe
-            )
-        else:
-            root_context = trace.span(
-                "stream.explain", category="stream", probe=probe
-            )
-        with explain_mod.attach(collector):
-            with root_context as root_span:
-                if op == "insert":
-                    delta = self.add_object(object_id)
-                else:
-                    delta = self.remove_object(object_id)
-                root_id = root_span.span_id
-        tracer = own_tracer if own_tracer is not None else scope.tracer
-        stats = self.last_stats if delta is not None else QueryStats()
-        plan = explain_mod.build_plan(
-            algorithm=f"stream.{op}",
-            query_ids=self.query.query_ids,
-            k=self.query.k,
-            n=self._n,
-            stats=stats,
-            collector=collector,
-            spans=tracer.export(),
-            root_id=root_id,
+        return explain_mod.explained(
+            "stream.explain", "stream", self._probe, body
         )
-        return delta, plan
 
     # ------------------------------------------------------------------
     # repair internals
     # ------------------------------------------------------------------
     def _explain_repair(
-        self, ex, op: str, kind: str, n_before: int, repair: int
+        self, op: str, kind: str, n_before: int, repair: int
     ) -> None:
         """One conserving funnel stage per update when explain is on.
 
@@ -476,16 +454,14 @@ class ContinuousTopK:
         incomparable remainder (untouched by Definition 3's pairwise
         locality) — the stage's conservation law checks that split.
         """
-        ex.add_stage(
+        explain_mod.stage(
             f"stream.{op}",
-            entering=n_before,
-            survivors=repair,
-            discards={
-                "incomparable with the update": n_before - repair
-            },
+            n_before,
+            repair,
+            {"incomparable with the update": n_before - repair},
             note="recompute fallback" if kind == "recompute" else None,
         )
-        ex.snapshot(
+        explain_mod.snapshot(
             "stream.update",
             op=op,
             kind=kind,
@@ -494,7 +470,7 @@ class ContinuousTopK:
         )
 
     def _apply_insert(self, object_id: int) -> Tuple[str, int]:
-        ex = explain_mod.active()
+        ex = trace.explaining()
         n = self._n
         vec = np.asarray(
             self.space.pairwise(object_id, self.query.query_ids),
@@ -523,7 +499,7 @@ class ContinuousTopK:
             if self.aux is not None:
                 self._mirror_rows(range(self._n))
             if ex is not None:
-                self._explain_repair(ex, "insert", "recompute", n, repair)
+                self._explain_repair("insert", "recompute", n, repair)
             return "recompute", repair
         self._scores[:n][dominators] += 1
         self._dominated_by[:n][dominated] += 1
@@ -535,11 +511,11 @@ class ContinuousTopK:
             self._mirror_rows(touched)
             self._mirror_rows([row])
         if ex is not None:
-            self._explain_repair(ex, "insert", "repair", n, repair)
+            self._explain_repair("insert", "repair", n, repair)
         return "repair", repair
 
     def _apply_delete(self, object_id: int) -> Tuple[str, int]:
-        ex = explain_mod.active()
+        ex = trace.explaining()
         n = self._n
         row = self._row_of.pop(object_id)
         vec = self._matrix[row].copy()
@@ -573,7 +549,7 @@ class ContinuousTopK:
             if self.aux is not None:
                 self._mirror_rows(range(self._n))
             if ex is not None:
-                self._explain_repair(ex, "delete", "recompute", n, repair)
+                self._explain_repair("delete", "recompute", n, repair)
             return "recompute", repair
         for obj in touched_ids:
             r = self._row_of[obj]
@@ -587,7 +563,7 @@ class ContinuousTopK:
         if self.aux is not None:
             self._mirror_rows([self._row_of[obj] for obj in touched_ids])
         if ex is not None:
-            self._explain_repair(ex, "delete", "repair", n, repair)
+            self._explain_repair("delete", "repair", n, repair)
         return "repair", repair
 
     def _rescore_all(self) -> None:
@@ -717,6 +693,16 @@ class ContinuousTopK:
             listener(delta)
         return delta
 
+    def _probe(self) -> trace.CostSnapshot:
+        """This thread's paper-cost counters (the tracing probe)."""
+        io = self.engine.buffers.local_io()
+        return trace.CostSnapshot(
+            page_faults=io.page_faults,
+            buffer_hits=io.buffer_hits,
+            distance_computations=self.engine.counting_metric.local_count(),
+            exact_score_computations=self._exact_total,
+        )
+
     def _measured(
         self,
         op: str,
@@ -725,19 +711,6 @@ class ContinuousTopK:
     ) -> QueryStats:
         buffers = self.engine.buffers
         metric = self.engine.counting_metric
-        probe = None
-        if trace.active():
-            exact = self
-
-            def probe() -> trace.CostSnapshot:
-                io = buffers.local_io()
-                return trace.CostSnapshot(
-                    page_faults=io.page_faults,
-                    buffer_hits=io.buffer_hits,
-                    distance_computations=metric.local_count(),
-                    exact_score_computations=exact._exact_total,
-                )
-
         stats = QueryStats()
         io_before = buffers.local_io()
         dist_before = metric.local_count()
@@ -747,7 +720,7 @@ class ContinuousTopK:
         with trace.span(
             "stream.update",
             category="stream",
-            probe=probe,
+            probe=self._probe if trace.active() else None,
             args={
                 "op": op,
                 "object_id": object_id,

@@ -15,7 +15,7 @@ Two laws over randomized datasets and queries, all four algorithms:
 from __future__ import annotations
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.obs.explain import validate_plan
 from tests.conftest import make_engine
@@ -86,6 +86,9 @@ def test_funnel_conserved_and_distances_attributed(instance):
     ops=st.lists(st.integers(min_value=0, max_value=79), min_size=1,
                  max_size=6),
 )
+# delete then re-insert object 5: both updates leave the top-k as it
+# was (no delta), yet the insert still costs its m distances.
+@example(seed=0, ops=[5, 5])
 def test_streaming_repair_funnel_conserved(seed, ops):
     from repro.streaming.continuous import ContinuousTopK
 
@@ -101,3 +104,12 @@ def test_streaming_repair_funnel_conserved(seed, ops):
         for stage in document["funnel"]:
             discarded = sum(stage.get("discards", {}).values())
             assert stage["entering"] == stage["survivors"] + discarded
+        # every update here is applied, so the plan reports its cost
+        # even when the top-k did not change (delta is None).
+        attributed = sum(
+            phase["self_costs"]["distance_computations"]
+            for phase in document["phases"]
+        )
+        counted = document["counters"]["distance_computations"]
+        assert attributed == counted
+        assert counted == maintainer.last_stats.distance_computations

@@ -12,13 +12,15 @@ import json
 
 import pytest
 
+from repro.obs import explain
 from repro.obs.explain import (
-    ExplainCollector,
+    TIMELINE_CAPACITY,
     QueryPlan,
     format_plan,
     load_plan,
     validate_plan,
 )
+from repro.obs.trace import Tracer
 from tests.conftest import make_engine
 
 QUERY = [0, 1, 2]
@@ -126,11 +128,63 @@ class TestQueryPlan:
 
 class TestCollectorCaps:
     def test_timeline_is_bounded(self):
-        collector = ExplainCollector()
-        for i in range(20_000):
-            collector.snapshot("tick", i=i)
-        assert len(collector.timeline()) <= 10_000
-        assert collector.timeline_dropped > 0
+        def body():
+            for i in range(TIMELINE_CAPACITY + 5_000):
+                explain.snapshot("tick", i=i)
+            return None, explain.plan_header("ticks", [0], 1, 1)
+
+        _value, plan = explain.explained("ticks", "test", None, body)
+        assert len(plan.timeline) == TIMELINE_CAPACITY
+        assert plan.timeline_dropped == 5_000
+        assert plan.timeline[-1] == {
+            "phase": "tick", "i": TIMELINE_CAPACITY - 1
+        }
+
+    def test_ambient_tracer_capacity_drops_nothing_from_the_plan(self):
+        """The plan captures its own subtree, so an ambient tracer whose
+        capacity bound drops spans still yields a complete plan."""
+        from repro.api import open_engine
+        from repro.datasets.synthetic import uniform
+
+        def run(tracer):
+            engine = open_engine(uniform(n=200, seed=7, dims=4), seed=7)
+            if tracer is None:
+                return engine.explain((0, 1, 2, 3), 10, algorithm="sba")
+            with tracer.trace("request"):
+                return engine.explain((0, 1, 2, 3), 10, algorithm="sba")
+
+        tracer = Tracer(capacity=5)
+        _results, stats, plan = run(tracer)
+        assert tracer.dropped > 0
+        attributed = sum(
+            row["self_costs"]["distance_computations"] for row in plan.phases
+        )
+        assert stats.distance_computations == 796
+        assert attributed == stats.distance_computations
+        _r, _s, private = run(None)
+        # sba/b2ms2.skyline/sba.score per round, k=10 rounds
+        assert len(plan.funnel) == 30
+        assert plan.funnel == private.funnel
+        assert plan.timeline == private.timeline
+        assert plan.index_profile == private.index_profile
+        validate_plan(plan.as_dict())
+
+    def test_funnel_and_timeline_are_span_data(self, explained):
+        _engine, _results, _stats, plan = explained
+        instants = [s for s in plan.spans if s["ph"] == "i"]
+        assert {s["cat"] for s in instants} == {"funnel", "timeline"}
+        (root,) = [s for s in plan.spans if s["name"] == "engine.explain"]
+        assert root["args"]["index_profile"] == plan.index_profile
+        assert root["args"]["counters"] == plan.counters
+
+    def test_plain_trace_carries_no_explain_data(self):
+        engine = make_engine(n=100, dims=3, seed=0)
+        tracer = Tracer()
+        with tracer.trace("request"):
+            engine.top_k_dominating(QUERY, K, algorithm="sba")
+        spans = tracer.export()
+        assert all(s["ph"] == "X" for s in spans)
+        assert not any("survivors" in s["args"] for s in spans)
 
 
 class TestFacade:

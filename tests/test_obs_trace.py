@@ -216,17 +216,6 @@ class TestThreadPropagation:
         assert seen["active"] is False
 
 
-def test_iter_roots():
-    tracer = Tracer(clock=FakeClock())
-    with tracer.trace("r1"):
-        with trace.span("c"):
-            trace.event("e")
-    with tracer.trace("r2"):
-        pass
-    roots = list(trace.iter_roots(tracer.spans()))
-    assert [r.name for r in roots] == ["r1", "r2"]
-
-
 def test_as_dict_shape():
     tracer = Tracer(clock=FakeClock())
     with tracer.trace("root", category="request", args={"k": 1}):
