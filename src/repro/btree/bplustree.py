@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.storage.buffer import LRUBuffer
 from repro.storage.pages import PagedFile
@@ -99,7 +99,7 @@ class BPlusTree:
 
     def get(self, key: int, default: Any = None) -> Any:
         """Return the value stored under ``key`` (or ``default``)."""
-        node = self._find_leaf(key)
+        node: _Node = self._leaf_page(key).payload
         idx = bisect.bisect_left(node.keys, key)
         if idx < len(node.keys) and node.keys[idx] == key:
             return node.values[idx]
@@ -124,6 +124,44 @@ class BPlusTree:
     def update(self, key: int, value: Any) -> None:
         """Alias of :meth:`insert` emphasising overwrite semantics."""
         self.insert(key, value)
+
+    def update_many(
+        self, keys: Sequence[int], apply: Callable[[int, Any], None]
+    ) -> None:
+        """Mutate the values of many present keys in one leaf sweep.
+
+        ``keys`` must be ascending and all present; ``apply(key, value)``
+        mutates each value in place, in key order.  The sweep descends
+        once to the first key's leaf, then walks the ``next_leaf``
+        chain up to the last key's leaf: one logical read per node on
+        the descent, one per further leaf walked (leaves emptied by
+        lazy deletes included) and one logical write per leaf holding a
+        key — where a per-key :meth:`get` + :meth:`update` would descend
+        twice per key.  A missing key raises :class:`KeyError`.
+        """
+        if not keys:
+            return
+        page = self._leaf_page(keys[0])
+        i, total = 0, len(keys)
+        while True:
+            node: _Node = page.payload
+            node_keys = node.keys
+            start = i
+            j = 0
+            while i < total and node_keys and keys[i] <= node_keys[-1]:
+                key = keys[i]
+                j = bisect.bisect_left(node_keys, key, j)
+                if node_keys[j] != key:
+                    raise KeyError(key)
+                apply(key, node.values[j])
+                i += 1
+            if i > start:
+                self.buffer.put(page)
+            if i == total:
+                return
+            if node.next_leaf == -1:
+                raise KeyError(keys[i])
+            page = self.buffer.get(node.next_leaf)
 
     def delete(self, key: int) -> bool:
         """Remove ``key``; returns True if it was present."""
@@ -188,12 +226,14 @@ class BPlusTree:
         self.file.page_ids.add(page.page_id)
         return page.page_id
 
-    def _find_leaf(self, key: int) -> _Node:
-        node: _Node = self.buffer.get(self._root_id).payload
-        while not node.is_leaf:
+    def _leaf_page(self, key: int):
+        """The page of the leaf that holds (or would hold) ``key``."""
+        page = self.buffer.get(self._root_id)
+        while not page.payload.is_leaf:
+            node: _Node = page.payload
             idx = bisect.bisect_right(node.keys, key)
-            node = self.buffer.get(node.children[idx]).payload
-        return node
+            page = self.buffer.get(node.children[idx])
+        return page
 
     def _path_to_leaf(self, key: int) -> List[int]:
         path = [self._root_id]

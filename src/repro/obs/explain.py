@@ -475,7 +475,8 @@ def build_plan(spans: Sequence[Dict[str, Any]]) -> QueryPlan:
     rows are *self*-attributed via
     :func:`repro.obs.summary.phase_summary`, so their per-phase
     distance deltas sum exactly to the root's
-    ``counters["distance_computations"]``.
+    ``counters["distance_computations"]``; they are listed by name, so
+    the same query on the same data gives the same document.
     """
     span_list = list(spans)
     ids = {span["span_id"] for span in span_list}
@@ -489,7 +490,7 @@ def build_plan(spans: Sequence[Dict[str, Any]]) -> QueryPlan:
             "self_seconds": row.self_seconds,
             "self_costs": dict(row.self_costs),
         }
-        for row in phase_summary(span_list)
+        for row in sorted(phase_summary(span_list), key=lambda r: r.name)
     ]
     funnel = [_funnel_stage(s) for s in span_list if "survivors" in s["args"]]
     discard_rules: Dict[str, int] = {}

@@ -169,3 +169,117 @@ class TestDiskBehaviour:
         for key in range(500):
             big.insert(key, key)
         assert big.num_pages > small.num_pages
+
+
+def leaf_chain(tree):
+    """The keys of every leaf, in ``next_leaf`` order (empty ones too)."""
+    page_id = tree._leftmost_leaf_id()
+    leaves = []
+    while page_id != -1:
+        node = tree.buffer.get(page_id).payload
+        leaves.append(list(node.keys))
+        page_id = node.next_leaf
+    return leaves
+
+
+def leaf_index(leaves, key):
+    return next(i for i, keys in enumerate(leaves) if key in keys)
+
+
+def boxed_tree(keys, order=4, capacity=64):
+    """A tree whose values are one-element lists (mutable in place)."""
+    tree, buf = make_tree(order=order, capacity=capacity)
+    for key in keys:
+        tree.insert(key, [key])
+    return tree, buf
+
+
+def bump(_key, value):
+    value[0] += 1000
+
+
+def sweep_cost(tree, buf, keys):
+    """(reads, writes, faults) charged by one ``update_many``."""
+    before = (
+        buf.stats.logical_reads,
+        buf.stats.logical_writes,
+        buf.stats.page_faults,
+    )
+    tree.update_many(keys, bump)
+    return (
+        buf.stats.logical_reads - before[0],
+        buf.stats.logical_writes - before[1],
+        buf.stats.page_faults - before[2],
+    )
+
+
+class TestUpdateMany:
+    def test_dense_sweep_costs_one_descent_and_one_get_put_per_leaf(self):
+        tree, buf = boxed_tree(range(100))
+        leaves = leaf_chain(tree)
+        assert len(leaves) >= 3 and tree.height >= 3
+        reads, writes, faults = sweep_cost(tree, buf, list(range(100)))
+        assert reads == tree.height + len(leaves) - 1
+        assert writes == len(leaves)
+        assert faults == 0
+        assert list(tree.items()) == [(k, [k + 1000]) for k in range(100)]
+        tree.check_invariants()
+
+    def test_sparse_subset_walks_the_leaves_in_between(self):
+        tree, buf = boxed_tree(range(100))
+        leaves = leaf_chain(tree)
+        keys = [7, 40, 41, 88]
+        first, last = leaf_index(leaves, 7), leaf_index(leaves, 88)
+        changed = {leaf_index(leaves, k) for k in keys}
+        reads, writes, _faults = sweep_cost(tree, buf, keys)
+        assert reads == tree.height + last - first
+        assert writes == len(changed)
+        for key in range(100):
+            assert tree.get(key) == [key + 1000 if key in keys else key]
+
+    def test_empty_leaves_are_walked_without_a_write(self):
+        tree, buf = boxed_tree(range(100))
+        leaves = leaf_chain(tree)
+        gap = leaves[len(leaves) // 2]
+        for key in gap:
+            assert tree.delete(key)
+        before, after = gap[0] - 1, gap[-1] + 1
+        assert leaf_chain(tree)[len(leaves) // 2] == []
+        reads, writes, _faults = sweep_cost(tree, buf, [before, after])
+        assert reads == tree.height + 2
+        assert writes == 2
+        assert tree.get(before) == [before + 1000]
+        assert tree.get(after) == [after + 1000]
+        tree.check_invariants()
+
+    def test_first_key_behind_an_empty_leaf(self):
+        tree, buf = boxed_tree(range(100))
+        leaves = leaf_chain(tree)
+        for key in leaves[1]:
+            tree.delete(key)
+        key = leaves[2][0]
+        tree.update_many([key], bump)
+        assert tree.get(key) == [key + 1000]
+
+    def test_missing_keys_raise(self):
+        tree, _ = boxed_tree(range(0, 100, 2))
+        with pytest.raises(KeyError):
+            tree.update_many([10, 11, 12], bump)  # a gap inside a leaf
+        with pytest.raises(KeyError):
+            tree.update_many([4, 500], bump)  # beyond the last leaf
+        with pytest.raises(KeyError):
+            tree.update_many([40, 20], bump)  # not ascending
+
+    def test_no_keys_no_access(self):
+        tree, buf = boxed_tree(range(20))
+        assert sweep_cost(tree, buf, []) == (0, 0, 0)
+
+    def test_small_buffer_charges_faults_per_leaf(self):
+        tree, buf = boxed_tree(range(100), capacity=1)
+        leaves = leaf_chain(tree)
+        reads, writes, faults = sweep_cost(tree, buf, list(range(100)))
+        assert reads == tree.height + len(leaves) - 1
+        assert writes == len(leaves)
+        # every get faults; each put finds its leaf still resident.
+        assert faults == reads
+        assert list(tree.items()) == [(k, [k + 1000]) for k in range(100)]

@@ -7,11 +7,11 @@ and PBA2.  Each plan runs on a freshly built engine, so the cold
 buffer state is the same whatever order the plans run in.
 
 Wall-clock fields (``cpu_seconds``, ``wall_seconds``,
-``self_seconds``) and the raw ``spans`` section are dropped, and the
-phase rows are sorted by name (the plan orders them by self wall
-time); every other section — counters, phase self-costs, the funnel with its
-per-stage costs, the index profile, the timeline and the discard
-rules — must match the fixture exactly.
+``self_seconds``) and the raw ``spans`` section are dropped; every
+other section — counters, the phase rows in the plan's own order (by
+name) with their self-costs, the funnel with its per-stage costs, the
+index profile, the timeline and the discard rules — must match the
+fixture exactly.
 
 Regenerate the fixture (only for an intended plan change) with::
 
@@ -58,7 +58,6 @@ def golden_plan(backend: str, algorithm: str) -> dict:
     _results, _stats, plan = engine.explain(QUERY, K, algorithm=algorithm)
     document = plan.as_dict()
     del document["spans"]
-    document["phases"].sort(key=lambda row: row["name"])
     return _normalise(document)
 
 

@@ -10,7 +10,7 @@ payloads.
 import numpy as np
 import pytest
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro import ManhattanMetric, MetricSpace, TopKDominatingEngine
 from repro.core.brute_force import brute_force_scores
@@ -18,6 +18,7 @@ from repro.metric.counting import CountingMetric
 from repro.streaming import ContinuousTopK, SlidingWindowTopK, StandingQuery
 
 from tests.conftest import make_engine
+from tests.test_btree import leaf_chain
 
 
 def oracle_topk(space, query_ids, universe, k):
@@ -142,6 +143,79 @@ def test_direct_maintainer_matches_oracle(n, k, seed, threshold, aux, ops):
                     assert maintainer.aux.record(obj).q_counter == (
                         maintainer.score_of(obj)
                     )
+    finally:
+        maintainer.close()
+
+
+def expected_aux_snapshot(maintainer):
+    """``aux_snapshot()`` as the maintainer's own arrays say it must be."""
+    rows = []
+    for obj in sorted(maintainer.member_ids):
+        r = maintainer._row_of[obj]
+        rows.append(
+            (
+                obj,
+                int(maintainer._scores[r]),
+                int(maintainer._dominated_by[r]),
+                tuple(float(x) for x in maintainer._matrix[r]),
+            )
+        )
+    return rows
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(min_value=110, max_value=160),
+    seed=st.integers(min_value=0, max_value=10_000),
+    threshold=st.sampled_from([0.1, 1.0]),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "delete", "expire", "resync"]),
+            st.integers(min_value=0, max_value=10_000),
+        ),
+        min_size=1,
+        max_size=14,
+    ),
+)
+@example(n=120, seed=3, threshold=1.0, ops=[("expire", 63), ("insert", 0)])
+@example(n=120, seed=4, threshold=0.1, ops=[("expire", 63), ("delete", 5), ("resync", 0)])
+def test_aux_mirror_matches_arrays_on_multi_leaf_trees(n, seed, threshold, ops):
+    """The sorted leaf sweep writes exactly the maintainer's counters.
+
+    ``n`` fills at least three aux leaves; ``expire`` deletes a run of
+    the oldest members, so whole leaves go empty under the lazy
+    deletes and later sweeps must walk through them.
+    """
+    engine = make_engine(n=n, seed=seed)
+    queries = [0, 1]
+    maintainer = ContinuousTopK(
+        engine, queries, 5, recompute_threshold=threshold
+    )
+    maintainer.attach()
+    assert len(leaf_chain(maintainer.aux.tree)) >= 3
+    rng = np.random.default_rng(seed)
+    try:
+        for op, arg in ops:
+            deletable = sorted(
+                obj for obj in maintainer.member_ids if obj not in queries
+            )
+            if op == "insert" or not deletable:
+                engine.insert_object(rng.random(3))
+            elif op == "delete":
+                engine.delete_object(deletable[arg % len(deletable)])
+            elif op == "expire":
+                for obj in deletable[: 1 + arg % 64]:
+                    engine.delete_object(obj)
+            else:
+                maintainer.resync()
+            universe = sorted(engine.tree.object_ids())
+            assert as_pairs(maintainer.result) == oracle_topk(
+                engine.space, queries, universe, 5
+            )
+            assert maintainer.aux_snapshot() == expected_aux_snapshot(
+                maintainer
+            )
+            maintainer.aux.tree.check_invariants()
     finally:
         maintainer.close()
 
