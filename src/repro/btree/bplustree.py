@@ -165,9 +165,7 @@ class BPlusTree:
 
     def delete(self, key: int) -> bool:
         """Remove ``key``; returns True if it was present."""
-        path = self._path_to_leaf(key)
-        leaf_id = path[-1]
-        page = self.buffer.get(leaf_id)
+        page = self._leaf_page(key)
         node: _Node = page.payload
         idx = bisect.bisect_left(node.keys, key)
         if idx >= len(node.keys) or node.keys[idx] != key:
@@ -190,11 +188,11 @@ class BPlusTree:
         ``AuxB+``-tree's "sorted accesses".
         """
         if low is None:
-            leaf_id = self._leftmost_leaf_id()
+            page = self.buffer.get(self._leftmost_leaf_id())
         else:
-            leaf_id = self._path_to_leaf(low)[-1]
-        while leaf_id != -1:
-            node: _Node = self.buffer.get(leaf_id).payload
+            page = self._leaf_page(low)
+        while True:
+            node: _Node = page.payload
             start = 0
             if low is not None:
                 start = bisect.bisect_left(node.keys, low)
@@ -203,8 +201,10 @@ class BPlusTree:
                 if high is not None and key > high:
                     return
                 yield key, node.values[i]
+            if node.next_leaf == -1:
+                return
             low = None
-            leaf_id = node.next_leaf
+            page = self.buffer.get(node.next_leaf)
 
     def keys(self) -> Iterator[int]:
         """Iterate all keys in order."""
@@ -234,16 +234,6 @@ class BPlusTree:
             idx = bisect.bisect_right(node.keys, key)
             page = self.buffer.get(node.children[idx])
         return page
-
-    def _path_to_leaf(self, key: int) -> List[int]:
-        path = [self._root_id]
-        node: _Node = self.buffer.get(self._root_id).payload
-        while not node.is_leaf:
-            idx = bisect.bisect_right(node.keys, key)
-            child_id = node.children[idx]
-            path.append(child_id)
-            node = self.buffer.get(child_id).payload
-        return path
 
     def _leftmost_leaf_id(self) -> int:
         node_id = self._root_id

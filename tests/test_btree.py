@@ -283,3 +283,34 @@ class TestUpdateMany:
         # every get faults; each put finds its leaf still resident.
         assert faults == reads
         assert list(tree.items()) == [(k, [k + 1000]) for k in range(100)]
+
+
+def reads_of(buf, action):
+    """Logical reads charged by ``action()``."""
+    before = buf.stats.logical_reads
+    action()
+    return buf.stats.logical_reads - before
+
+
+class TestPointAccessReads:
+    """``get``, ``delete`` and a bounded scan each read one node per
+    level on their way to the leaf, and the leaf itself only once."""
+
+    def test_get_delete_and_scan_read_each_level_once(self):
+        tree, buf = boxed_tree(range(100))
+        assert tree.height == 4
+        leaves = leaf_chain(tree)
+        assert 98 in leaves[-1] and 99 in leaves[-1]
+        assert reads_of(buf, lambda: tree.get(50)) == tree.height
+        assert reads_of(buf, lambda: tree.delete(50)) == tree.height
+        assert reads_of(buf, lambda: tree.delete(50)) == tree.height
+        scanned = []
+        assert reads_of(
+            buf, lambda: scanned.extend(tree.items(low=98))
+        ) == tree.height
+        assert scanned == [(98, [98]), (99, [99])]
+        # a scan starting in the first leaf walks the whole chain.
+        assert reads_of(
+            buf, lambda: list(tree.items(low=0))
+        ) == tree.height + len(leaves) - 1
+        tree.check_invariants()
