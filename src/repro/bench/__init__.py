@@ -1,6 +1,8 @@
-"""Benchmark harness reproducing the paper's evaluation (Section 5).
+"""Reproducing the paper's evaluation (Section 5).
 
-The harness regenerates every figure and table:
+The ``core`` benchmark suite (:mod:`repro.obs.perf.suites`) measures
+the whole grid; :mod:`repro.bench.figures` slices it into the paper's
+exhibits:
 
 * Figure 4 — CPU + I/O time vs the number of query objects ``m``;
 * Figure 5 — CPU + I/O time vs the number of results ``k``;
@@ -15,6 +17,8 @@ Entry points::
     python -m repro.bench figures --figure 4        # one figure
     python -m repro.bench figures --all             # everything
     python -m repro.bench figures --all --profile full --json out.json
+    python -m repro.bench run --suite core --profile quick   # record
+    python -m repro.bench.experiments_md BENCH_core.json quick
 
 ``--profile quick`` (default) runs scaled-down cardinalities suitable
 for a laptop; ``--profile full`` uses the largest sizes that stay
@@ -24,14 +28,13 @@ shape comparison.
 """
 
 from repro.bench.config import BenchProfile, PROFILES
-from repro.bench.harness import BenchHarness, CellResult
-from repro.bench.figures import FIGURES, TABLES
+from repro.bench.figures import EXHIBITS, FIGURES, TABLES, Exhibit
 
 __all__ = [
+    "EXHIBITS",
     "FIGURES",
     "PROFILES",
     "TABLES",
-    "BenchHarness",
     "BenchProfile",
-    "CellResult",
+    "Exhibit",
 ]

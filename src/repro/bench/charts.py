@@ -1,9 +1,9 @@
 """ASCII log-scale charts for the figure reproductions.
 
-The paper's Figures 4-8 are log-scale line plots; the reporting layer
-prints the underlying series as tables, and this module additionally
-renders them as terminal charts so orderings and orders-of-magnitude
-gaps are visible at a glance::
+The paper's Figures 4-8 are log-scale line plots; the exhibits
+(:mod:`repro.bench.figures`) print the underlying series as tables,
+and this module additionally renders them as terminal charts so
+orderings and orders-of-magnitude gaps are visible at a glance::
 
     UNI — distance computations vs m (log scale)
     1e+05 |                         a        a
@@ -24,8 +24,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Sequence
 
-from repro.bench.harness import CellResult
-from repro.bench.reporting import METRICS
+from repro.bench.figures import Cell
 
 #: chart glyph per algorithm.
 GLYPHS = {"sba": "s", "aba": "a", "pba1": "1", "pba2": "2", "apx": "x"}
@@ -41,29 +40,29 @@ def _format_param(parameter: str, value: float) -> str:
 
 
 def render_ascii_chart(
-    cells: Sequence[CellResult],
+    cells: Sequence[Cell],
     metric: str,
     dataset: str,
     title: str | None = None,
 ) -> str:
-    """One data set's sweep as a log-scale ASCII chart."""
-    extract = METRICS[metric]
-    subset = [cell for cell in cells if cell.dataset == dataset]
+    """One data set's sweep of the cell column ``metric`` (e.g.
+    ``distance_computations``) as a log-scale ASCII chart."""
+    subset = [cell for cell in cells if cell["dataset"] == dataset]
     if not subset:
         return f"(no data for {dataset})"
-    parameter = subset[0].parameter
-    values = sorted({cell.value for cell in subset})
-    algorithms = sorted({cell.algorithm for cell in subset})
+    parameter = subset[0]["parameter"]
+    values = sorted({cell["value"] for cell in subset})
+    algorithms = sorted({cell["algorithm"] for cell in subset})
 
     # collect positive measurements (log scale needs > 0).
     points: Dict[tuple, float] = {}
     floor = math.inf
     ceil = -math.inf
     for cell in subset:
-        measured = extract(cell)
+        measured = cell[metric]
         if measured <= 0:
             measured = 1e-6
-        points[(cell.algorithm, cell.value)] = measured
+        points[(cell["algorithm"], cell["value"])] = measured
         floor = min(floor, measured)
         ceil = max(ceil, measured)
     if not math.isfinite(floor):
@@ -117,13 +116,13 @@ def render_ascii_chart(
 
 
 def render_figure_charts(
-    cells: Sequence[CellResult], metric: str, title: str
+    cells: Sequence[Cell], metric: str, title: str
 ) -> str:
     """Charts for every data set in a sweep, stacked."""
     datasets: List[str] = []
     for cell in cells:
-        if cell.dataset not in datasets:
-            datasets.append(cell.dataset)
+        if cell["dataset"] not in datasets:
+            datasets.append(cell["dataset"])
     blocks = [title, "=" * len(title), ""]
     for dataset in datasets:
         blocks.append(render_ascii_chart(cells, metric, dataset))

@@ -7,6 +7,11 @@ Examples::
     python -m repro.bench figures --all --json results.json
     python -m repro.bench figures --figure 6 --n 1200 --repeats 3
 
+``figures`` runs the ``core`` benchmark suite — the paper's grid —
+filtered to the cells the chosen exhibits show, and prints each
+exhibit's series; it records nothing.  ``--repeats`` sets the query
+sets averaged per cell.
+
 The performance-observatory subcommands (``run`` / ``compare`` /
 ``gate`` / ``history`` — continuous benchmarking over
 ``BENCH_<suite>.json`` trajectories) are registered from
@@ -25,8 +30,7 @@ import sys
 from typing import List
 
 from repro.bench.config import PROFILES, BenchProfile
-from repro.bench.figures import FIGURES, TABLES
-from repro.bench.harness import BenchHarness, CellResult
+from repro.bench.figures import FIGURES, TABLES, cells_from_run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,58 +111,78 @@ def main(argv: List[str] | None = None) -> int:
         return args.func(args)
     profile = _resolve_profile(args)
 
-    exhibits = []
     figure_keys = sorted(FIGURES) if args.all else args.figure
     table_keys = sorted(TABLES) if args.all else args.table
-    exhibits.extend(("Figure", FIGURES[key]) for key in figure_keys)
-    exhibits.extend(("Table", TABLES[key]) for key in table_keys)
+    exhibits = [FIGURES[key] for key in figure_keys] + [
+        TABLES[key] for key in table_keys
+    ]
     if not exhibits:
         print("nothing selected: pass --figure/--table/--all", file=sys.stderr)
         return 2
 
-    harness = BenchHarness(profile, verbose=not args.quiet)
-    all_cells: List[CellResult] = []
-    for kind, exhibit in exhibits:
-        print(f"\n### {kind} {exhibit.key}: {exhibit.title}")
+    from repro.obs.perf.runner import RunnerOptions, run_suite
+    from repro.obs.perf.suites import build_suite
+
+    def progress(message: str) -> None:
+        if not args.quiet:
+            print(message, file=sys.stderr, flush=True)
+
+    cases = [
+        case
+        for case in build_suite("core", profile)
+        if any(
+            exhibit.wants(case.meta["parameter"], case.meta["algorithm"])
+            for exhibit in exhibits
+        )
+    ]
+    run = run_suite(
+        "core",
+        profile=profile.name,
+        options=RunnerOptions(progress=progress),
+        cases=cases,
+    )
+    all_cells = cells_from_run(run)
+    for exhibit in exhibits:
+        print(f"\n### {exhibit.kind} {exhibit.key}: {exhibit.title}")
         print(
             f"(profile={profile.name}, n={profile.n}, "
             f"repeats={profile.repeats})\n"
         )
-        report, cells = exhibit.run(harness)
-        print(report)
-        if args.charts and kind == "Figure":
+        cells = [
+            cell
+            for cell in all_cells
+            if exhibit.wants(cell["parameter"], cell["algorithm"])
+        ]
+        print(exhibit.render(cells))
+        if args.charts and exhibit.kind == "Figure":
             from repro.bench.charts import render_figure_charts
 
-            metric = (
-                "dists" if exhibit.key in ("7", "8") else "cpu"
-            )
-            print()
-            print(
-                render_figure_charts(
-                    cells,
-                    metric,
-                    f"Figure {exhibit.key} — ASCII rendering "
-                    f"({metric})",
+            metric = exhibit.metrics[0]
+            for parameter in exhibit.parameters:
+                print(
+                    render_figure_charts(
+                        [c for c in cells if c["parameter"] == parameter],
+                        metric,
+                        f"Figure {exhibit.key} — ASCII rendering "
+                        f"({metric} vs {parameter})",
+                    )
                 )
-            )
-        all_cells.extend(cells)
 
     if args.json:
         with open(args.json, "w") as handle:
-            json.dump(
-                [cell.as_dict() for cell in all_cells], handle, indent=2
-            )
+            json.dump(all_cells, handle, indent=2)
         print(f"\nwrote {len(all_cells)} cells to {args.json}")
     if args.csv:
         import csv
 
-        rows = [cell.as_dict() for cell in all_cells]
         with open(args.csv, "w", newline="") as handle:
-            if rows:
-                writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            if all_cells:
+                writer = csv.DictWriter(
+                    handle, fieldnames=list(all_cells[0])
+                )
                 writer.writeheader()
-                writer.writerows(rows)
-        print(f"wrote {len(rows)} rows to {args.csv}")
+                writer.writerows(all_cells)
+        print(f"wrote {len(all_cells)} rows to {args.csv}")
     return 0
 
 

@@ -1,26 +1,30 @@
 """EXPERIMENTS.md generator.
 
-Turns a harness JSON dump (``python -m repro.bench figures --all
---json cells.json``) into the repository's experiment record: one
-section per paper exhibit with the measured series, the paper's
-qualitative finding, and the mechanical shape-check verdicts from
-:mod:`repro.bench.shapes`.
+Renders the Figure and Table sections of the repository's experiment
+record from a recorded ``core``-suite run: one section per paper
+exhibit with the measured series, the paper's qualitative finding, and
+the mechanical shape-check verdicts from :mod:`repro.bench.shapes`.
+The output is the head of EXPERIMENTS.md, everything above its first
+hand-written section.
 
 Usage::
 
-    python -m repro.bench.experiments_md cells.json > EXPERIMENTS.md
+    repro-bench run --suite core --profile quick     # record a run
+    python -m repro.bench.experiments_md BENCH_core.json quick
+
+The second argument names the profile whose newest run is rendered
+(default ``quick``).
 """
 
 from __future__ import annotations
 
-import json
+import os
 import sys
-from collections import defaultdict
-from typing import Dict, List, Sequence
+from typing import Any, Dict, List, Sequence
 
+from repro.bench.figures import EXHIBITS, Cell, cells_from_run, newest_run
 from repro.bench.shapes import SHAPE_CHECKS, run_shape_checks
-
-Cell = Dict
+from repro.obs.perf.runner import load_bench_file
 
 _PAPER_FINDINGS = {
     "4": (
@@ -92,85 +96,25 @@ The shape to match: tiny versus the data-set size (tens-hundreds out
 of 10^6); grows with k; higher for tie-heavy data (ZIL, CAL).""",
 }
 
-_EXHIBIT_METRICS = {
-    "4": ("cpu_seconds", "io_seconds"),
-    "5": ("cpu_seconds", "io_seconds"),
-    "6": ("cpu_seconds", "io_seconds"),
-    "7": ("distance_computations",),
-    "8": ("distance_computations",),
-    "2": ("cpu_seconds", "io_seconds"),
-    "3": ("exact_score_computations",),
-}
-
-_EXHIBIT_PARAMS = {
-    "4": ("m",),
-    "5": ("k",),
-    "6": ("c",),
-    "7": ("m", "k"),
-    "8": ("c",),
-    "2": ("m", "k", "c"),
-    "3": ("m", "k", "c"),
-}
-
-_EXHIBIT_ALGOS = {
-    "2": ("pba2",),
-    "3": ("pba1", "pba2"),
-}
-
-
-def _fmt(metric: str, value: float) -> str:
-    if metric.endswith("_seconds"):
-        return f"{value:.3f}"
-    return f"{value:.0f}"
-
-
-def _fmt_param(parameter: str, value: float) -> str:
-    if parameter == "c":
-        return f"{value * 100:g}%"
-    return f"{value:g}"
-
-
-def _series_tables(
-    cells: Sequence[Cell],
-    parameter: str,
-    metric: str,
-    algorithms: Sequence[str] | None,
-) -> List[str]:
-    lines: List[str] = []
-    by_dataset: Dict[str, List[Cell]] = defaultdict(list)
-    for cell in cells:
-        if cell["parameter"] != parameter:
-            continue
-        if algorithms and cell["algorithm"] not in algorithms:
-            continue
-        by_dataset[cell["dataset"]].append(cell)
-    for dataset in sorted(by_dataset):
-        rows = by_dataset[dataset]
-        values = sorted({cell["value"] for cell in rows})
-        algos = sorted({cell["algorithm"] for cell in rows})
-        header = (
-            f"| {dataset} / {metric} | "
-            + " | ".join(_fmt_param(parameter, v) for v in values)
-            + " |"
-        )
-        sep = "|" + "---|" * (len(values) + 1)
-        lines.append(header)
-        lines.append(sep)
-        for algo in algos:
-            row = [f"| {algo.upper()} "]
-            for value in values:
-                match = [
-                    cell
-                    for cell in rows
-                    if cell["algorithm"] == algo and cell["value"] == value
-                ]
-                row.append(
-                    "| " + (_fmt(metric, match[0][metric]) if match else "-")
-                    + " "
-                )
-            lines.append("".join(row) + "|")
-        lines.append("")
-    return lines
+def run_note(run: Dict[str, Any], source: str) -> str:
+    """The provenance line of a rendered run: where it is recorded,
+    its scale, its timing policy and the commit it measured."""
+    meta = run["benchmarks"][0]["meta"]
+    env = run.get("env", {})
+    sha = (env.get("git_sha") or "unknown")[:10]
+    if env.get("git_dirty"):
+        sha += "+dirty"
+    return (
+        f"Run configuration: the newest `{run['profile']}` run in "
+        f"`{source}` — n = {meta['n']} per data set, "
+        f"{meta['query_sets']} seeded query sets averaged per cell, "
+        f"{run['warmup']} warmup + {run['repeats']} timed repetitions "
+        f"per cell, recorded at commit `{sha}`. The CPU columns are the "
+        "median wall seconds of the timed repetitions; the I/O columns "
+        "are simulated (8 ms per page fault). UNI/FC/ZIL/CAL are as "
+        "defined in `repro.datasets` (see DESIGN.md §4 for the data-set "
+        "substitutions)."
+    )
 
 
 def render_experiments_md(
@@ -184,8 +128,10 @@ def render_experiments_md(
     out.append("")
     out.append(
         "Reproduction record for *Metric-Based Top-k Dominating "
-        "Queries* (EDBT 2014), generated by "
-        "`python -m repro.bench.experiments_md` from a harness run."
+        "Queries* (EDBT 2014). Everything above *Serving layer* is "
+        "generated by `python -m repro.bench.experiments_md "
+        "BENCH_core.json quick` from a recorded run of the `core` "
+        "benchmark suite."
     )
     if profile_note:
         out.append("")
@@ -210,41 +156,43 @@ def render_experiments_md(
         )
     out.append("")
 
-    exhibits = [
-        ("Figure", key) for key in ("4", "5", "6", "7", "8")
-    ] + [("Table", key) for key in ("2", "3")]
-    for kind, key in exhibits:
-        out.append(f"## {kind} {key}")
+    for exhibit in EXHIBITS:
+        out.append(f"## {exhibit.kind} {exhibit.key}")
         out.append("")
-        out.append(f"**Paper finding.** {_PAPER_FINDINGS[key]}")
+        out.append(f"**Paper finding.** {_PAPER_FINDINGS[exhibit.key]}")
         out.append("")
-        if key in _PAPER_REFERENCE:
-            out.append(_PAPER_REFERENCE[key])
+        if exhibit.key in _PAPER_REFERENCE:
+            out.append(_PAPER_REFERENCE[exhibit.key])
             out.append("")
         out.append("**Measured.**")
         out.append("")
-        algos = _EXHIBIT_ALGOS.get(key)
-        for parameter in _EXHIBIT_PARAMS[key]:
-            for metric in _EXHIBIT_METRICS[key]:
-                out.extend(
-                    _series_tables(cells, parameter, metric, algos)
-                )
+        out.append(exhibit.render(cells))
     return "\n".join(out)
+
+
+def render_run(path: str, profile: str = "quick") -> str:
+    """EXPERIMENTS.md's generated sections for the newest ``profile``
+    run of the trajectory file at ``path``."""
+    run = newest_run(load_bench_file(path), profile)
+    return render_experiments_md(
+        cells_from_run(run), run_note(run, os.path.basename(path))
+    )
 
 
 def main(argv: List[str] | None = None) -> int:
     argv = argv if argv is not None else sys.argv[1:]
-    if not argv:
+    if not 1 <= len(argv) <= 2:
         print(
-            "usage: python -m repro.bench.experiments_md CELLS.json "
-            "[profile note ...]",
+            "usage: python -m repro.bench.experiments_md BENCH_core.json "
+            "[PROFILE]",
             file=sys.stderr,
         )
         return 2
-    with open(argv[0]) as handle:
-        cells = json.load(handle)
-    note = " ".join(argv[1:])
-    print(render_experiments_md(cells, profile_note=note))
+    try:
+        print(render_run(*argv))
+    except (OSError, ValueError, LookupError) as exc:
+        print(f"experiments_md: error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -1,136 +1,170 @@
-"""Figure and table definitions: what each paper exhibit sweeps.
+"""The paper's exhibits and their cells, read from a core-suite run.
 
-Each entry knows which sweeps to run and how to render its report; the
-CLI and the pytest-benchmark targets both go through these definitions
-so there is exactly one source of truth per exhibit.
+Every figure and table of Section 5 is a slice of one grid — m, k and
+c swept over the data sets and algorithms — and the ``core`` suite
+(:mod:`repro.obs.perf.suites`) is that grid's only definition.  This
+module says which slice each exhibit shows (:data:`EXHIBITS`: its
+swept parameters, metrics and algorithms) and turns the benchmark
+records of a core run document into flat **cells**, the dicts that
+:mod:`repro.bench.shapes` checks and :mod:`repro.bench.experiments_md`
+renders.  The CLI's ``figures`` verb, the shape checks and
+EXPERIMENTS.md all go through these definitions.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from statistics import median
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.harness import BenchHarness, CellResult
-from repro.bench.reporting import (
-    format_series_table,
-    format_table2,
-    format_table3,
-)
+#: one measured grid cell (see :func:`cell_from_record`).
+Cell = Dict[str, Any]
 
 
 @dataclass(frozen=True)
 class Exhibit:
-    """One paper figure or table."""
+    """One paper figure or table: a slice of the core grid."""
 
+    kind: str  # "Figure" or "Table"
     key: str
     title: str
-    #: runs the sweeps and returns (report text, all cells).
-    run: Callable[[BenchHarness], Tuple[str, List[CellResult]]]
+    parameters: Tuple[str, ...]
+    metrics: Tuple[str, ...]
+    #: the algorithms shown; ``None`` shows every measured one.
+    algorithms: Optional[Tuple[str, ...]] = None
+
+    def wants(self, parameter: str, algorithm: str) -> bool:
+        """Whether a cell of this sweep and algorithm belongs here."""
+        return parameter in self.parameters and (
+            self.algorithms is None or algorithm in self.algorithms
+        )
+
+    def render(self, cells: Sequence[Cell]) -> str:
+        """The exhibit's measured series as Markdown tables."""
+        lines: List[str] = []
+        for parameter in self.parameters:
+            for metric in self.metrics:
+                lines.extend(
+                    series_tables(cells, parameter, metric, self.algorithms)
+                )
+        return "\n".join(lines)
 
 
-def _figure4(harness: BenchHarness) -> Tuple[str, List[CellResult]]:
-    cells = harness.sweep_m()
-    report = "\n\n".join(
-        [
-            format_series_table(
-                cells, "cpu", "Figure 4 (CPU seconds vs m)"
-            ),
-            format_series_table(
-                cells, "io", "Figure 4 (I/O seconds vs m)"
-            ),
-        ]
-    )
-    return report, cells
+_TIME = ("cpu_seconds", "io_seconds")
 
-
-def _figure5(harness: BenchHarness) -> Tuple[str, List[CellResult]]:
-    cells = harness.sweep_k()
-    report = "\n\n".join(
-        [
-            format_series_table(
-                cells, "cpu", "Figure 5 (CPU seconds vs k)"
-            ),
-            format_series_table(
-                cells, "io", "Figure 5 (I/O seconds vs k)"
-            ),
-        ]
-    )
-    return report, cells
-
-
-def _figure6(harness: BenchHarness) -> Tuple[str, List[CellResult]]:
-    cells = harness.sweep_c()
-    report = "\n\n".join(
-        [
-            format_series_table(
-                cells, "cpu", "Figure 6 (CPU seconds vs c)"
-            ),
-            format_series_table(
-                cells, "io", "Figure 6 (I/O seconds vs c)"
-            ),
-        ]
-    )
-    return report, cells
-
-
-def _figure7(harness: BenchHarness) -> Tuple[str, List[CellResult]]:
-    cells_m = harness.sweep_m()
-    cells_k = harness.sweep_k()
-    report = "\n\n".join(
-        [
-            format_series_table(
-                cells_m,
-                "dists",
-                "Figure 7 (distance computations vs m)",
-            ),
-            format_series_table(
-                cells_k,
-                "dists",
-                "Figure 7 (distance computations vs k)",
-            ),
-        ]
-    )
-    return report, cells_m + cells_k
-
-
-def _figure8(harness: BenchHarness) -> Tuple[str, List[CellResult]]:
-    cells = harness.sweep_c()
-    report = format_series_table(
-        cells, "dists", "Figure 8 (distance computations vs c)"
-    )
-    return report, cells
-
-
-def _table2(harness: BenchHarness) -> Tuple[str, List[CellResult]]:
-    cells_by_param = {
-        "m": harness.sweep_m(algorithms=["pba2"]),
-        "k": harness.sweep_k(algorithms=["pba2"]),
-        "c": harness.sweep_c(algorithms=["pba2"]),
-    }
-    all_cells = [c for cells in cells_by_param.values() for c in cells]
-    return format_table2(cells_by_param), all_cells
-
-
-def _table3(harness: BenchHarness) -> Tuple[str, List[CellResult]]:
-    algos = ["pba1", "pba2"]
-    cells_by_param = {
-        "m": harness.sweep_m(algorithms=algos),
-        "k": harness.sweep_k(algorithms=algos),
-        "c": harness.sweep_c(algorithms=algos),
-    }
-    all_cells = [c for cells in cells_by_param.values() for c in cells]
-    return format_table3(cells_by_param), all_cells
-
+EXHIBITS: Tuple[Exhibit, ...] = (
+    Exhibit("Figure", "4", "CPU and I/O time vs number of query objects m",
+            ("m",), _TIME),
+    Exhibit("Figure", "5", "CPU and I/O time vs number of results k",
+            ("k",), _TIME),
+    Exhibit("Figure", "6", "CPU and I/O time vs query coverage c",
+            ("c",), _TIME),
+    Exhibit("Figure", "7", "Distance computations vs m and k",
+            ("m", "k"), ("distance_computations",)),
+    Exhibit("Figure", "8", "Distance computations vs query coverage c",
+            ("c",), ("distance_computations",)),
+    Exhibit("Table", "2", "CPU and I/O cost (seconds) for PBA2",
+            ("m", "k", "c"), _TIME, ("pba2",)),
+    Exhibit("Table", "3", "Exact score computations for PBA1/PBA2",
+            ("m", "k", "c"), ("exact_score_computations",),
+            ("pba1", "pba2")),
+)
 
 FIGURES: Dict[str, Exhibit] = {
-    "4": Exhibit("4", "CPU and I/O time vs number of query objects m", _figure4),
-    "5": Exhibit("5", "CPU and I/O time vs number of results k", _figure5),
-    "6": Exhibit("6", "CPU and I/O time vs query coverage c", _figure6),
-    "7": Exhibit("7", "Distance computations vs m and k", _figure7),
-    "8": Exhibit("8", "Distance computations vs query coverage c", _figure8),
+    exhibit.key: exhibit for exhibit in EXHIBITS if exhibit.kind == "Figure"
+}
+TABLES: Dict[str, Exhibit] = {
+    exhibit.key: exhibit for exhibit in EXHIBITS if exhibit.kind == "Table"
 }
 
-TABLES: Dict[str, Exhibit] = {
-    "2": Exhibit("2", "CPU and I/O cost (seconds) for PBA2", _table2),
-    "3": Exhibit("3", "Exact score computations for PBA1/PBA2", _table3),
-}
+
+def cell_from_record(record: Dict[str, Any]) -> Cell:
+    """One core-suite benchmark record as a figure cell.
+
+    The grid coordinates come from the record's meta, the counts are
+    its exact counters and ``io_seconds`` is the simulated I/O time of
+    its page faults.  The CPU column is the median of the recorded
+    wall samples: a warm, repeated timing, not one repetition's.
+    """
+    meta = record["meta"]
+    counters = record["counters"]
+    cell = {
+        key: meta[key]
+        for key in ("dataset", "algorithm", "parameter", "value", "m", "k", "c")
+    }
+    cell.update(
+        cpu_seconds=median(record["wall_seconds"]),
+        io_seconds=record["metrics"]["io_seconds"],
+        page_faults=counters["page_faults"],
+        distance_computations=counters["distance_computations"],
+        exact_score_computations=counters["exact_score_computations"],
+    )
+    return cell
+
+
+def cells_from_run(run: Dict[str, Any]) -> List[Cell]:
+    """Every benchmark record of a core run document, as cells."""
+    return [cell_from_record(record) for record in run["benchmarks"]]
+
+
+def newest_run(document: Dict[str, Any], profile: str) -> Dict[str, Any]:
+    """The newest run of ``profile`` in a trajectory document."""
+    for run in reversed(document.get("runs", [])):
+        if run.get("profile") == profile:
+            return run
+    raise LookupError(f"no {profile!r} run recorded")
+
+
+def format_value(metric: str, value: float) -> str:
+    if metric.endswith("_seconds"):
+        return f"{value:.3f}"
+    return f"{value:.0f}"
+
+
+def format_param(parameter: str, value: float) -> str:
+    if parameter == "c":
+        return f"{value * 100:g}%"
+    return f"{value:g}"
+
+
+def series_tables(
+    cells: Sequence[Cell],
+    parameter: str,
+    metric: str,
+    algorithms: Optional[Sequence[str]] = None,
+) -> List[str]:
+    """One Markdown table per data set: a row per algorithm, a column
+    per swept value of ``parameter``; ``-`` marks an unmeasured cell."""
+    lines: List[str] = []
+    by_dataset: Dict[str, List[Cell]] = defaultdict(list)
+    for cell in cells:
+        if cell["parameter"] != parameter:
+            continue
+        if algorithms and cell["algorithm"] not in algorithms:
+            continue
+        by_dataset[cell["dataset"]].append(cell)
+    for dataset in sorted(by_dataset):
+        rows = by_dataset[dataset]
+        values = sorted({cell["value"] for cell in rows})
+        measured = {
+            (cell["algorithm"], cell["value"]): cell[metric] for cell in rows
+        }
+        lines.append(
+            f"| {dataset} / {metric} | "
+            + " | ".join(format_param(parameter, v) for v in values)
+            + " |"
+        )
+        lines.append("|" + "---|" * (len(values) + 1))
+        for algo in sorted({cell["algorithm"] for cell in rows}):
+            row = [f"| {algo.upper()} "]
+            for value in values:
+                found = measured.get((algo, value))
+                row.append(
+                    "| "
+                    + ("-" if found is None else format_value(metric, found))
+                    + " "
+                )
+            lines.append("".join(row) + "|")
+        lines.append("")
+    return lines

@@ -1,7 +1,7 @@
 """repro.obs.perf — the performance observatory.
 
 Continuous benchmarking for the paper's cost story: declarative suites
-(``core`` / ``serving`` / ``chaos``) executed with warmup and repeats,
+(``core`` / ``streaming`` / ``backends``) executed with warmup and repeats,
 environment-fingerprinted runs recorded in schema-versioned
 ``BENCH_<suite>.json`` trajectory files, a comparator/gate that holds
 deterministic cost counters to exact equality while judging wall-clock

@@ -10,8 +10,8 @@ These subcommands live on the existing ``repro-bench`` console script
     repro-bench history --suite core                  # the trajectory
 
 ``run`` appends to ``BENCH_<suite>.json`` in the current directory
-(the committed trajectory); ``gate`` compares the newest run against
-the pinned baseline.  ``run --rebaseline`` is the only way the
+(the committed trajectory); ``gate`` compares the newest run of the
+baseline's profile against the pinned baseline.  ``run --rebaseline`` is the only way the
 baseline moves.
 """
 
@@ -223,19 +223,25 @@ def _load_pair(args: argparse.Namespace):
     if not runs:
         print(f"{path} holds no runs", file=sys.stderr)
         return None
-    current = runs[-1]
+    # one trajectory may hold several profiles (the smoke gate runs
+    # next to a recorded quick run); cell ids repeat across profiles
+    # at different n, so only runs of the baseline's profile compare.
+    baseline = document.get("baseline") or runs[0]
+    profile = baseline.get("profile")
+    same = [run for run in runs if run.get("profile") == profile]
+    if not same:
+        print(f"{path} holds no {profile} runs", file=sys.stderr)
+        return None
     if args.against == "previous":
-        if len(runs) < 2:
+        if len(same) < 2:
             print(
-                f"{path} holds a single run; nothing previous to "
-                "compare against",
+                f"{path} holds a single {profile} run; nothing previous "
+                "to compare against",
                 file=sys.stderr,
             )
             return None
-        reference = runs[-2]
-    else:
-        reference = document.get("baseline") or runs[0]
-    return reference, current
+        return same[-2], same[-1]
+    return baseline, same[-1]
 
 
 def _compare(args: argparse.Namespace):

@@ -6,20 +6,16 @@ paper's deterministic cost counters, and free-form metrics.  Three
 suites ship:
 
 * ``core`` — one case per (data set, algorithm, parameter) cell of the
-  paper's figure/table grids, scaled by the shared
-  :data:`repro.bench.config.PROFILES`.  Each case runs **one fixed
-  query set** on a cold buffer, so its distance computations, page
-  faults, buffer hits and exact-score computations are deterministic
-  under the profile's seed — the property the gate's zero-tolerance
-  counter comparison relies on.
-* ``serving`` — the closed-loop load-generator workload
-  (:func:`repro.service.loadgen.run_load`) in a read-heavy and a
-  write-mix shape.  Thread scheduling makes its counters
-  non-deterministic, so serving cases expose wall-clock and
-  throughput/latency metrics only.
-* ``chaos`` — the serving workload under seeded fault profiles
-  (``flaky-disk``, ``bad-sectors``), recording degraded throughput and
-  fault counts.
+  paper's Section 5 grid (m, k and c swept over UNI/FC/ZIL/CAL and
+  SBA/ABA/PBA1/PBA2), scaled by the shared
+  :data:`repro.bench.config.PROFILES`.  It is the only definition of
+  that grid: ``repro-bench figures`` runs it filtered to the chosen
+  exhibits, and EXPERIMENTS.md renders from a recorded run of it
+  (:mod:`repro.bench.figures`).  A case sample averages
+  ``profile.repeats`` seeded query sets, each run on a cold buffer, so
+  its distance computations, page faults, buffer hits and exact-score
+  computations are deterministic under the profile's seed — the
+  property the gate's zero-tolerance counter comparison relies on.
 * ``streaming`` — per-update cost of a standing ``MSD(Q, k)`` over an
   arrival-rate × window-size grid, incremental repair
   (:class:`repro.streaming.continuous.ContinuousTopK`) against
@@ -43,7 +39,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.bench.config import PROFILES, BenchProfile, stable_seed
 
@@ -85,16 +81,19 @@ class BenchCase:
 def _core_cases(
     profile: BenchProfile, clock: Callable[[], float]
 ) -> List[BenchCase]:
+    from repro.api import open_engine
     from repro.bench.config import DEFAULT_C, DEFAULT_K, DEFAULT_M
-    from repro.bench.harness import BenchHarness
-    from repro.datasets import select_query_objects
+    from repro.datasets import PAPER_DATASETS, select_query_objects
+    from repro.storage.stats import QueryStats
 
-    harness = BenchHarness(profile, verbose=False)
+    engines: Dict[str, Any] = {}
     radius: Dict[str, float] = {}
 
     def engine_for(dataset: str):
-        engine = harness.engine(dataset)
-        if dataset not in radius:
+        engine = engines.get(dataset)
+        if engine is None:
+            space = PAPER_DATASETS[dataset](profile.n, seed=profile.seed)
+            engine = engines[dataset] = open_engine(space, seed=profile.seed)
             radius[dataset] = engine.space.approximate_radius(
                 rng=random.Random(profile.seed)
             )
@@ -106,37 +105,46 @@ def _core_cases(
     ) -> BenchCase:
         def run() -> CaseSample:
             engine = engine_for(dataset)
-            rng = random.Random(
-                stable_seed("core", profile.seed, dataset, m, k, round(c, 4))
-            )
-            query_ids = select_query_objects(
-                engine.space,
-                m=m,
-                coverage=c,
-                rng=rng,
-                dataset_radius=radius[dataset],
-            )
-            # cold, order-independent buffer state: page faults then
-            # depend only on (data set, query, algorithm), never on
-            # which cell ran before this one.
-            engine.buffers.clear()
-            engine.reset_cost_counters()
-            started = clock()
-            if os.environ.get("REPRO_BENCH_EXPLAIN"):
-                # CI's explain-enabled gate cell: the deterministic
-                # counters below must match the committed baselines
-                # bit-for-bit, which is exactly the explain-neutrality
-                # guarantee under test.
-                results, stats, _plan = engine.explain(
-                    query_ids, k, algorithm=algorithm
+            seed_parts = ("core", profile.seed, dataset, m, k, round(c, 4))
+            total = QueryStats()
+            wall = 0.0
+            for rep in range(profile.repeats):
+                # the first set keeps the seed of a single-set cell, so
+                # a one-set profile (smoke) draws exactly that set.
+                parts = seed_parts + (rep,) if rep else seed_parts
+                rng = random.Random(stable_seed(*parts))
+                query_ids = select_query_objects(
+                    engine.space,
+                    m=m,
+                    coverage=c,
+                    rng=rng,
+                    dataset_radius=radius[dataset],
                 )
-            else:
-                results, stats = engine.top_k_dominating(
-                    query_ids, k, algorithm=algorithm
-                )
-            wall = clock() - started
+                # cold, order-independent buffer state: page faults
+                # then depend only on (data set, query, algorithm),
+                # never on which cell ran before this one.
+                engine.buffers.clear()
+                engine.reset_cost_counters()
+                started = clock()
+                if os.environ.get("REPRO_BENCH_EXPLAIN"):
+                    # CI's explain-enabled gate cell: the deterministic
+                    # counters below must match the committed baselines
+                    # bit-for-bit, which is exactly the
+                    # explain-neutrality guarantee under test.
+                    _results, stats, _plan = engine.explain(
+                        query_ids, k, algorithm=algorithm
+                    )
+                else:
+                    _results, stats = engine.top_k_dominating(
+                        query_ids, k, algorithm=algorithm
+                    )
+                wall += clock() - started
+                total.merge(stats)
+            # one sample is the average over the cell's query sets, as
+            # the paper reports "averages from 20 different executions".
+            stats = total.scaled(profile.repeats)
             return CaseSample(
-                wall_seconds=wall,
+                wall_seconds=wall / profile.repeats,
                 counters={
                     "distance_computations": stats.distance_computations,
                     "page_faults": stats.io.page_faults,
@@ -148,7 +156,7 @@ def _core_cases(
                 metrics={
                     "cpu_seconds": stats.cpu_seconds,
                     "io_seconds": stats.io_seconds,
-                    "results": len(results),
+                    "results": stats.results_reported,
                 },
             )
 
@@ -164,6 +172,7 @@ def _core_cases(
                 "k": k,
                 "c": c,
                 "n": profile.n,
+                "query_sets": profile.repeats,
             },
         )
 
@@ -189,107 +198,6 @@ def _core_cases(
                         )
                     )
     return cases
-
-
-# ----------------------------------------------------------------------
-# serving / chaos: the load-generator workload
-# ----------------------------------------------------------------------
-#: scale knobs per profile name for the service-level suites.
-_SERVING_SCALE: Dict[str, Dict[str, int]] = {
-    "smoke": dict(n=200, requests=48, clients=4, workers=2, pool=12),
-    "quick": dict(n=400, requests=160, clients=8, workers=4, pool=24),
-    "full": dict(n=800, requests=400, clients=8, workers=4, pool=32),
-}
-
-
-def _serving_case(
-    case_id: str,
-    profile: BenchProfile,
-    clock: Callable[[], float],
-    write_fraction: float = 0.0,
-    fault_profile: Optional[str] = None,
-) -> BenchCase:
-    import asyncio
-
-    scale = _SERVING_SCALE.get(profile.name, _SERVING_SCALE["smoke"])
-
-    def run() -> CaseSample:
-        from repro.core.engine import TopKDominatingEngine
-        from repro.datasets.synthetic import uniform
-        from repro.faults.chaos import ChaosConfig
-        from repro.service.loadgen import LoadConfig, run_load
-        from repro.service.server import QueryService, ServiceConfig
-
-        chaos = None
-        if fault_profile is not None:
-            chaos = ChaosConfig.profile(fault_profile, seed=profile.seed)
-        space = uniform(n=scale["n"], seed=profile.seed, dims=4)
-        engine = TopKDominatingEngine(
-            space, rng=random.Random(profile.seed)
-        )
-        service_config = ServiceConfig(
-            workers=scale["workers"],
-            io_model=True,
-            chaos=chaos,
-        )
-        load_config = LoadConfig(
-            clients=scale["clients"],
-            requests=scale["requests"],
-            write_fraction=write_fraction,
-            pool_size=scale["pool"],
-            seed=profile.seed,
-        )
-        started = clock()
-        with QueryService(engine, service_config) as service:
-            report = asyncio.run(run_load(service, load_config))
-        wall = clock() - started
-        # thread/task interleaving makes every service-level count
-        # (cache hits, coalesces, per-client write mix, injected
-        # faults) timing-dependent: expose them as metrics, never as
-        # gate-exact counters.
-        return CaseSample(
-            wall_seconds=wall,
-            counters={},
-            metrics={
-                "throughput_qps": report.throughput,
-                "latency_p50_ms": report.latency_quantile(0.50) * 1e3,
-                "latency_p99_ms": report.latency_quantile(0.99) * 1e3,
-                "completed": report.completed,
-                "cache_hits": report.cache_hits,
-                "coalesced": report.coalesced,
-                "writes": report.writes,
-                "faulted_transient": report.faulted_transient,
-                "faulted_fatal": report.faulted_fatal,
-            },
-        )
-
-    meta: Dict[str, Any] = dict(scale)
-    meta["write_fraction"] = write_fraction
-    if fault_profile is not None:
-        meta["fault_profile"] = fault_profile
-    return BenchCase(id=case_id, run=run, meta=meta)
-
-
-def _serving_cases(
-    profile: BenchProfile, clock: Callable[[], float]
-) -> List[BenchCase]:
-    return [
-        _serving_case("loadgen/read-heavy", profile, clock),
-        _serving_case(
-            "loadgen/write-mix", profile, clock, write_fraction=0.2
-        ),
-    ]
-
-
-def _chaos_cases(
-    profile: BenchProfile, clock: Callable[[], float]
-) -> List[BenchCase]:
-    return [
-        _serving_case(
-            f"loadgen/{name}", profile, clock, fault_profile=name
-        )
-        for name in ("flaky-disk", "bad-sectors")
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -583,8 +491,6 @@ SUITES: Dict[
     str, Callable[[BenchProfile, Callable[[], float]], List[BenchCase]]
 ] = {
     "core": _core_cases,
-    "serving": _serving_cases,
-    "chaos": _chaos_cases,
     "streaming": _streaming_cases,
     "backends": _backends_cases,
 }

@@ -15,11 +15,11 @@ from repro.bench.cli import main
 from repro.obs.perf.runner import record_run
 
 
-def make_run(dists=100, wall=0.010, created=1.0):
+def make_run(dists=100, wall=0.010, created=1.0, profile="smoke"):
     return {
         "schema": "repro-bench-run/1",
         "suite": "core",
-        "profile": "smoke",
+        "profile": profile,
         "created": created,
         "warmup": 1,
         "repeats": 3,
@@ -80,6 +80,35 @@ class TestGateExitCodes:
         assert (
             main(["gate", "--file", trajectory, "--against", "previous"]) == 0
         )
+
+    def test_gate_compares_runs_of_the_baselines_profile(
+        self, trajectory, capsys
+    ):
+        """A quick run reuses the smoke cell ids at another n; the gate
+        must never compare it with the smoke baseline."""
+        record_run(trajectory, make_run(created=2.0))
+        record_run(trajectory, make_run(dists=900, created=3.0, profile="quick"))
+        assert main(["gate", "--file", trajectory, "--counters-only"]) == 0
+        assert "900" not in capsys.readouterr().out
+        assert (
+            main(["gate", "--file", trajectory, "--against", "previous"]) == 0
+        )
+        record_run(trajectory, make_run(dists=101, created=4.0))
+        record_run(trajectory, make_run(dists=901, created=5.0, profile="quick"))
+        assert main(["gate", "--file", trajectory]) == 1
+        assert "100 -> 101" in capsys.readouterr().out
+        # previous: the two newest smoke runs (created 2.0 and 4.0)
+        assert (
+            main(["gate", "--file", trajectory, "--against", "previous"]) == 1
+        )
+        assert "100 -> 101" in capsys.readouterr().out
+
+    def test_previous_needs_two_runs_of_the_profile(self, trajectory, capsys):
+        record_run(trajectory, make_run(created=2.0, profile="quick"))
+        assert (
+            main(["gate", "--file", trajectory, "--against", "previous"]) == 2
+        )
+        assert "single smoke run" in capsys.readouterr().err
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["gate", "--file", str(tmp_path / "nope.json")]) == 2

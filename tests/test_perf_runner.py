@@ -129,10 +129,8 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("no-such-suite")
 
-    def test_registry_has_the_five_suites(self):
-        assert set(SUITES) == {
-            "core", "serving", "chaos", "streaming", "backends",
-        }
+    def test_registry_has_the_three_suites(self):
+        assert set(SUITES) == {"core", "streaming", "backends"}
 
 
 class TestTrajectoryFile:
@@ -174,7 +172,7 @@ class TestTrajectoryFile:
         path = bench_file_path("core", str(tmp_path))
         options = RunnerOptions(warmup=0, repeats=1)
         record_run(path, run_suite("core", cases=[constant_case()], options=options))
-        other = run_suite("serving", cases=[constant_case()], options=options)
+        other = run_suite("streaming", cases=[constant_case()], options=options)
         with pytest.raises(ValueError, match="refusing"):
             record_run(path, other)
 

@@ -1,12 +1,16 @@
 """The shape-check engine and the EXPERIMENTS.md generator."""
 
 import json
-
-import pytest
+import pathlib
 
 from repro.bench.experiments_md import main as exp_main
-from repro.bench.experiments_md import render_experiments_md
+from repro.bench.experiments_md import render_experiments_md, render_run
+from repro.bench.figures import cells_from_run, newest_run
 from repro.bench.shapes import SHAPE_CHECKS, run_shape_checks
+from repro.obs.perf.runner import load_bench_file
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BENCH_CORE = ROOT / "BENCH_core.json"
 
 
 def _cell(
@@ -102,17 +106,56 @@ class TestShapeChecks:
         assert not verdicts["pba-distances"]
 
     def test_real_harness_results_pass(self):
-        """The committed quick-profile run must satisfy every claim."""
-        import pathlib
-
-        path = pathlib.Path(__file__).parent.parent / (
-            "results/quick_all.json"
-        )
-        if not path.exists():
-            pytest.skip("no harness results committed")
-        cells = json.loads(path.read_text())
-        verdicts = run_shape_checks(cells)
+        """The committed quick-profile core run satisfies every claim."""
+        run = newest_run(load_bench_file(str(BENCH_CORE)), "quick")
+        verdicts = run_shape_checks(cells_from_run(run))
         assert all(verdicts.values()), verdicts
+
+
+def _run_document(cells, profile="quick"):
+    """A core run document whose records read back as ``cells``."""
+    return {
+        "schema": "repro-bench-run/1",
+        "suite": "core",
+        "profile": profile,
+        "warmup": 1,
+        "repeats": 3,
+        "env": {"git_sha": "0123456789abcdef", "git_dirty": False},
+        "benchmarks": [
+            {
+                "id": f"{c['dataset']}/{c['algorithm']}/"
+                      f"{c['parameter']}={c['value']:g}",
+                "wall_seconds": [c["cpu_seconds"]] * 3,
+                "counters": {
+                    "distance_computations": c["distance_computations"],
+                    "page_faults": c["page_faults"],
+                    "buffer_hits": 0,
+                    "exact_score_computations": (
+                        c["exact_score_computations"]
+                    ),
+                },
+                "metrics": {"io_seconds": c["io_seconds"]},
+                "meta": {
+                    **{key: c[key] for key in (
+                        "dataset", "algorithm", "parameter", "value",
+                        "m", "k", "c",
+                    )},
+                    "n": 800,
+                    "query_sets": 2,
+                },
+            }
+            for c in cells
+        ],
+    }
+
+
+def _trajectory(tmp_path, *runs):
+    path = tmp_path / "BENCH_core.json"
+    path.write_text(json.dumps({
+        "schema": "repro-bench/1", "suite": "core",
+        "baseline": runs[0], "runs": list(runs),
+    }))
+    return path
 
 
 class TestExperimentsMd:
@@ -132,11 +175,30 @@ class TestExperimentsMd:
         assert "Paper Table 3" in text
 
     def test_cli_roundtrip(self, tmp_path, capsys):
-        path = tmp_path / "cells.json"
-        path.write_text(json.dumps(good_cells()))
-        assert exp_main([str(path), "profile", "note"]) == 0
+        smoke = _run_document(good_cells()[:4], profile="smoke")
+        path = _trajectory(tmp_path, smoke, _run_document(good_cells()))
+        assert exp_main([str(path), "quick"]) == 0
         out = capsys.readouterr().out
-        assert "profile note" in out
+        assert out == render_run(str(path), "quick") + "\n"
+        assert "newest `quick` run in `BENCH_core.json`" in out
+        assert "n = 800 per data set, 2 seeded query sets" in out
+        assert "commit `0123456789`" in out
+        assert "| **FAIL** |" not in out
 
-    def test_cli_usage_error(self, capsys):
+    def test_cli_usage_error(self, tmp_path, capsys):
         assert exp_main([]) == 2
+        path = _trajectory(tmp_path, _run_document(good_cells()[:4], "smoke"))
+        assert exp_main([str(path), "quick"]) == 2
+        assert "no 'quick' run" in capsys.readouterr().err
+
+    def test_cells_round_trip_through_a_run_document(self):
+        cells = good_cells()
+        assert cells_from_run(_run_document(cells)) == cells
+
+    def test_committed_sections_match_the_generator(self):
+        """EXPERIMENTS.md's Figure and Table sections are the
+        generator's output over the committed quick run, byte for
+        byte; the hand-written sections follow them."""
+        generated = render_run(str(BENCH_CORE), "quick")
+        document = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+        assert document.startswith(generated + "\n## ")
