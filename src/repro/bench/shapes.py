@@ -3,10 +3,10 @@
 The reproduction cannot (and should not) match the paper's absolute
 numbers — different language, hardware and cardinalities — but every
 *ordering and trend* claim in Section 5 is checkable mechanically from
-the harness output.  Each :class:`ShapeCheck` encodes one claim; the
-EXPERIMENTS.md generator runs them all over the measured cells and
-reports pass/fail, so the experiment record always states precisely
-which of the paper's findings reproduce.
+the cells of a recorded core-suite run.  Each :class:`ShapeCheck`
+encodes one claim; the EXPERIMENTS.md generator runs them all over the
+measured cells and reports pass/fail, so the experiment record always
+states precisely which of the paper's findings reproduce.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence
 
-#: a measured cell as emitted by ``CellResult.as_dict``.
-Cell = Dict
+from repro.bench.figures import Cell
 
 
 def _cells(
