@@ -91,7 +91,9 @@ def cell_from_record(record: Dict[str, Any]) -> Cell:
     counters = record["counters"]
     cell = {
         key: meta[key]
-        for key in ("dataset", "algorithm", "parameter", "value", "m", "k", "c")
+        for key in (
+            "dataset", "algorithm", "parameter", "value", "m", "k", "c"
+        )
     }
     cell.update(
         cpu_seconds=median(record["wall_seconds"]),

@@ -11,8 +11,8 @@ These subcommands live on the existing ``repro-bench`` console script
 
 ``run`` appends to ``BENCH_<suite>.json`` in the current directory
 (the committed trajectory); ``gate`` compares the newest run of the
-baseline's profile against the pinned baseline.  ``run --rebaseline`` is the only way the
-baseline moves.
+baseline's profile against the pinned baseline.  ``run --rebaseline``
+is the only way the baseline moves.
 """
 
 from __future__ import annotations

@@ -87,14 +87,18 @@ class TestGateExitCodes:
         """A quick run reuses the smoke cell ids at another n; the gate
         must never compare it with the smoke baseline."""
         record_run(trajectory, make_run(created=2.0))
-        record_run(trajectory, make_run(dists=900, created=3.0, profile="quick"))
+        record_run(
+            trajectory, make_run(dists=900, created=3.0, profile="quick")
+        )
         assert main(["gate", "--file", trajectory, "--counters-only"]) == 0
         assert "900" not in capsys.readouterr().out
         assert (
             main(["gate", "--file", trajectory, "--against", "previous"]) == 0
         )
         record_run(trajectory, make_run(dists=101, created=4.0))
-        record_run(trajectory, make_run(dists=901, created=5.0, profile="quick"))
+        record_run(
+            trajectory, make_run(dists=901, created=5.0, profile="quick")
+        )
         assert main(["gate", "--file", trajectory]) == 1
         assert "100 -> 101" in capsys.readouterr().out
         # previous: the two newest smoke runs (created 2.0 and 4.0)
