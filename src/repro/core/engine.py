@@ -292,12 +292,14 @@ class TopKDominatingEngine:
         The engine's hot path is single-threaded by design (no lock
         overhead for benchmarks); a multi-threaded caller such as
         :class:`repro.service.QueryService` must call this once before
-        issuing concurrent queries.  It locks the two structures that
-        concurrent *readers* mutate: the :class:`CountingMetric`
-        evaluation counter and both LRU buffers (whose recency lists
-        move on every page hit).  Mutating the *data set* concurrently
-        with queries additionally requires external read/write
-        exclusion, which the service layer provides.
+        issuing concurrent queries.  It makes safe the two structures
+        that concurrent *readers* mutate: both LRU buffers go behind a
+        lock (their recency lists move on every page hit), and the
+        buffers and the :class:`CountingMetric` give every thread its
+        own counter tally, incremented without a lock; the global
+        counters become sums of those tallies.  Mutating the *data
+        set* concurrently with queries additionally requires external
+        read/write exclusion, which the service layer provides.
         """
         self.counting_metric.make_thread_safe()
         self.buffers.make_thread_safe()
@@ -311,7 +313,9 @@ class TopKDominatingEngine:
         engine across many measured cells (session-cached benchmark
         engines, the perf-observatory suites) reset between cells so
         any reader of the globals sees per-cell values instead of a
-        running total.  Thread-local counters are untouched — they are
+        running total.  After :meth:`prepare_for_concurrency` the
+        globals restart from the current sum of the per-thread
+        tallies; the tallies themselves are untouched — they are
         diffed, never read absolutely.
 
         The reset is also *cold*: the counted metric's own caches (the

@@ -11,12 +11,13 @@ exhaustive — there is no side channel to the raw metric.
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Optional, Sequence
+from types import SimpleNamespace
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
 from repro.metric.base import Metric, pairwise_distances
+from repro.storage.stats import ThreadTallies
 
 
 class CountingMetric:
@@ -26,42 +27,40 @@ class CountingMetric:
     counting, matching the convention that ``d(p, p)`` is never actually
     computed by the C++ implementations the paper benchmarks.
 
-    The counter is a plain attribute by default — the fast path for the
-    single-threaded benchmarks.  ``self.count += 1`` is a read-modify-
-    write that CPython does *not* make atomic across threads, so the
-    serving layer (:mod:`repro.service`) calls :meth:`make_thread_safe`
-    once to guard increments with a lock; until then no lock is ever
-    taken.
-
-    Thread-safe mode additionally maintains a **per-thread** counter:
-    a query executes entirely on one worker thread, so deltas of
-    :meth:`local_count` attribute distance computations to exactly the
-    query that performed them, where deltas of the shared ``count``
-    would absorb concurrent neighbours' evaluations.
+    Counts live in a ``[count, batches]`` tally.  Single-threaded there
+    is one tally and no lock is ever taken.  The serving layer
+    (:mod:`repro.service`) calls :meth:`make_thread_safe` once, after
+    which every thread counts into its **own** tally (a
+    :class:`~repro.storage.stats.ThreadTallies`): a thread registers
+    its tally once, under a lock, and from then on ``__call__`` and
+    :meth:`pairwise` increment only the caller's tally and take no
+    lock.  ``count`` and ``batches`` are then the sums of all tallies
+    since the last :meth:`reset`, and :meth:`local_count` /
+    :meth:`local_batches` read the caller's own.  A query executes
+    entirely on one worker thread, so deltas of :meth:`local_count`
+    attribute distance computations to exactly the query that
+    performed them, where deltas of the shared ``count`` would absorb
+    concurrent neighbours' evaluations.
     """
 
     def __init__(self, inner: Metric) -> None:
         self.inner = inner
         self.name = getattr(inner, "name", "metric")
-        self.count = 0
-        self.batches = 0
-        self._lock: Optional[threading.Lock] = None
-        self._local: Optional[threading.local] = None
+        self._own = [0, 0]
+        # the caller's tally is ``self._local.tally``: the one shared
+        # tally until make_thread_safe, then the thread's own.
+        self._local: Any = SimpleNamespace(tally=self._own)
+        self._tallies: Optional[ThreadTallies[List[int]]] = None
+        # thread-safe mode: the totals at the last reset().
+        self._base = (0, 0)
 
     def __call__(self, a: Any, b: Any) -> float:
         if a is b:
             return 0.0
-        lock = self._lock
-        if lock is None:
-            self.count += 1
-        else:
-            with lock:
-                self.count += 1
-            local = self._local
-            try:
-                local.count += 1  # type: ignore[union-attr]
-            except AttributeError:  # first evaluation on this thread
-                local.count = 1  # type: ignore[union-attr]
+        try:
+            self._local.tally[0] += 1
+        except AttributeError:  # first evaluation on this thread
+            self._tallies.register()[0] += 1  # type: ignore[union-attr]
         return self.inner(a, b)
 
     def pairwise(
@@ -82,18 +81,9 @@ class CountingMetric:
         if n == 0:
             return np.empty(0, dtype=float)
         identity = [i for i, c in enumerate(candidates) if c is a]
-        charged = n - len(identity)
-        lock = self._lock
-        if lock is None:
-            self.count += charged
-            self.batches += 1
-        else:
-            with lock:
-                self.count += charged
-                self.batches += 1
-            local = self._local
-            local.count = getattr(local, "count", 0) + charged
-            local.batches = getattr(local, "batches", 0) + 1
+        tally = self._tally()
+        tally[0] += n - len(identity)
+        tally[1] += 1
         if not identity:
             return pairwise_distances(self.inner, a, candidates, reflect=reflect)
         survivors = [c for c in candidates if c is not a]
@@ -107,16 +97,41 @@ class CountingMetric:
         return out
 
     def make_thread_safe(self) -> None:
-        """Guard counter increments with a lock (idempotent).
+        """Give every thread its own tally (idempotent).
 
-        Needed as soon as concurrent queries share one metric: lost
-        increments would silently under-report the paper's headline
-        cost metric.  Also switches :meth:`local_count` to per-thread
-        counters for exact per-query attribution.
+        Needed as soon as concurrent queries share one metric: a shared
+        ``count += 1`` is a read-modify-write that CPython does not
+        make atomic across threads, and lost increments would silently
+        under-report the paper's headline cost metric.  The counts made
+        so far stay in ``count``; every thread's :meth:`local_count`
+        starts at 0.
         """
-        if self._lock is None:
-            self._lock = threading.Lock()
-            self._local = threading.local()
+        if self._tallies is None:
+            self._tallies = ThreadTallies(_new_tally, _fold_tally, self._own)
+            self._local = self._tallies.local
+
+    def _tally(self) -> List[int]:
+        """The calling thread's ``[count, batches]`` tally."""
+        try:
+            return self._local.tally
+        except AttributeError:  # first evaluation on this thread
+            return self._tallies.register()  # type: ignore[union-attr]
+
+    def _totals(self) -> List[int]:
+        if self._tallies is None:
+            return self._own
+        total = self._tallies.total()
+        return [total[0] - self._base[0], total[1] - self._base[1]]
+
+    @property
+    def count(self) -> int:
+        """Evaluations since the last :meth:`reset`, over all threads."""
+        return self._totals()[0]
+
+    @property
+    def batches(self) -> int:
+        """Batch-kernel invocations since the last :meth:`reset`."""
+        return self._totals()[1]
 
     def local_count(self) -> int:
         """The calling thread's own evaluation count.
@@ -126,9 +141,9 @@ class CountingMetric:
         grow, so callers diff two calls the same way they diff
         :meth:`snapshot` — :meth:`reset` does not touch them.
         """
-        if self._local is None:
+        if self._tallies is None:
             return self.count
-        return getattr(self._local, "count", 0)
+        return self._tally()[0]
 
     def local_batches(self) -> int:
         """The calling thread's own batch-kernel invocation count.
@@ -137,14 +152,21 @@ class CountingMetric:
         single-threaded mode, per-thread (grow-only) after
         :meth:`make_thread_safe`.
         """
-        if self._local is None:
+        if self._tallies is None:
             return self.batches
-        return getattr(self._local, "batches", 0)
+        return self._tally()[1]
 
     def reset(self) -> None:
-        """Zero the evaluation and batch counters."""
-        self.count = 0
-        self.batches = 0
+        """Zero ``count`` and ``batches``.
+
+        In thread-safe mode the per-thread tallies keep growing; the
+        globals restart from their current sum.
+        """
+        if self._tallies is None:
+            self._own[0] = self._own[1] = 0
+        else:
+            total = self._tallies.total()
+            self._base = (total[0], total[1])
 
     def snapshot(self) -> int:
         """Return the current evaluation count."""
@@ -156,3 +178,12 @@ class CountingMetric:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CountingMetric({self.inner!r}, count={self.count})"
+
+
+def _new_tally() -> List[int]:
+    return [0, 0]
+
+
+def _fold_tally(into: List[int], tally: List[int]) -> None:
+    into[0] += tally[0]
+    into[1] += tally[1]

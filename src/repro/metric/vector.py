@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 class LpMetric:
     """The general Minkowski ``L_p`` metric, ``p >= 1``.
@@ -37,6 +39,30 @@ class LpMetric:
             self.name = f"l{p:g}"
 
     def __call__(self, a: Sequence[float], b: Sequence[float]) -> float:
+        if (
+            type(a) is np.ndarray
+            and type(b) is np.ndarray
+            and a.dtype is _FLOAT64
+            and b.dtype is _FLOAT64
+            and a.ndim == 1
+            and a.shape == b.shape
+        ):
+            # fast path for float64 rows: the ufuncs and reductions
+            # below are the ones the generic path ends in, minus its
+            # conversions and its second temporary, so the result is
+            # bit-identical.
+            diff = np.subtract(a, b)
+            np.absolute(diff, out=diff)
+            p = self.p
+            if p == 1.0:
+                return float(np.add.reduce(diff, None))
+            if p == 2.0:
+                np.square(diff, out=diff)
+                return float(np.sqrt(np.add.reduce(diff, None)))
+            if math.isinf(p):
+                return float(np.maximum.reduce(diff, None, initial=0.0))
+            np.power(diff, p, out=diff)
+            return float(np.power(np.add.reduce(diff, None), 1.0 / p))
         av = np.asarray(a, dtype=float)
         bv = np.asarray(b, dtype=float)
         if av.shape != bv.shape:

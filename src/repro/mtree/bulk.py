@@ -67,7 +67,8 @@ def bulk_build(
 
     # 1. pivot ordering.
     pivot = ids[rng.randrange(len(ids))]
-    ordered = sorted(ids, key=lambda obj: space.distance(pivot, obj))
+    to_pivot = space.pairwise(pivot, ids).tolist()
+    ordered = [ids[i] for i in sorted(range(len(ids)), key=to_pivot.__getitem__)]
 
     # 2. pack leaves.
     leaves: List[Tuple[int, int, float]] = []  # (page_id, router, radius)
@@ -76,8 +77,7 @@ def bulk_build(
         router = _medoid(space, group, rng)
         entries = []
         radius = 0.0
-        for obj in group:
-            d = space.distance(obj, router)
+        for obj, d in zip(group, space.pairwise_reflected(router, group).tolist()):
             entries.append(LeafEntry(obj, d))
             radius = max(radius, d)
         node = MTreeNode(
@@ -100,8 +100,8 @@ def bulk_build(
             parent_router = _medoid(space, routers, rng)
             entries = []
             radius = 0.0
-            for page_id, router, child_radius in group:
-                d = space.distance(router, parent_router)
+            to_parent = space.pairwise_reflected(parent_router, routers).tolist()
+            for (page_id, router, child_radius), d in zip(group, to_parent):
                 entries.append(
                     RoutingEntry(
                         object_id=router,
@@ -147,7 +147,7 @@ def _medoid(
     best = sample[0]
     best_cost = float("inf")
     for candidate in sample:
-        cost = sum(space.distance(candidate, other) for other in sample)
+        cost = sum(space.pairwise(candidate, sample).tolist())
         if cost < best_cost:
             best_cost = cost
             best = candidate

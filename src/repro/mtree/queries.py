@@ -71,7 +71,10 @@ class IncrementalNNCursor:
         # exact pre-protocol code path); the PM-tree returns its
         # hyper-ring filter, whose bounds tighten heap keys below.
         self._filter = tree.query_filter(query)
-        self._push_node_exact(tree.root_page_id, query_router_distance=None)
+        # the root has no router: key 0 forces immediate expansion.
+        self._heap.append(
+            (0.0, _KIND_NODE, next(self._counter), (tree.root_page_id, None, 0))
+        )
 
     # ------------------------------------------------------------------
     # iterator protocol
@@ -82,22 +85,26 @@ class IncrementalNNCursor:
     def __next__(self) -> Tuple[int, float]:
         tree = self.tree
         heap = self._heap
+        counter = self._counter
+        push, pop = heapq.heappush, heapq.heappop
+        skip = self.skip
         while heap:
-            key, kind, _tie, data = heapq.heappop(heap)
+            key, kind, _tie, data = pop(heap)
             if kind == _KIND_OBJECT:
                 object_id, distance = data
-                if object_id in self.skip:
+                if object_id in skip:
                     continue
                 self.yielded += 1
                 return object_id, distance
             if kind == _KIND_OBJECT_APPROX:
                 object_id, level = data
-                if object_id in self.skip:
+                if object_id in skip:
                     continue
                 distance = tree.query_distance(self.query, object_id)
                 if self._explain is not None:
                     self._explain.refinement(level)
-                self._push(distance, _KIND_OBJECT, (object_id, distance))
+                push(heap, (distance, _KIND_OBJECT, next(counter),
+                            (object_id, distance)))
                 continue
             if kind == _KIND_NODE_APPROX:
                 page_id, router_id, covering_radius, level = data
@@ -114,7 +121,8 @@ class IncrementalNNCursor:
                             self._explain.hyper_ring_prune(
                                 "incremental_nn", level
                             )
-                self._push(node_key, _KIND_NODE, (page_id, d, level))
+                push(heap, (node_key, _KIND_NODE, next(counter),
+                            (page_id, d, level)))
                 continue
             # _KIND_NODE: expand the node.
             page_id, d_router, level = data
@@ -124,15 +132,6 @@ class IncrementalNNCursor:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _push(self, key: float, kind: int, data: tuple) -> None:
-        heapq.heappush(self._heap, (key, kind, next(self._counter), data))
-
-    def _push_node_exact(
-        self, page_id: int, query_router_distance: Optional[float]
-    ) -> None:
-        # the root has no router: key 0 forces immediate expansion.
-        self._push(0.0, _KIND_NODE, (page_id, query_router_distance, 0))
-
     def _expand(
         self, page_id: int, d_router: Optional[float], level: int
     ) -> None:
@@ -143,6 +142,9 @@ class IncrementalNNCursor:
             ).payload
         else:
             node = self.tree.buffer.get(page_id).payload
+        heap = self._heap
+        counter = self._counter
+        push = heapq.heappush
         if d_router is None:
             # root entries: no parent bound available; every distance
             # is needed, so compute the node as one batch (same pairs,
@@ -156,13 +158,15 @@ class IncrementalNNCursor:
             )
             for entry, d in zip(node.entries, distances):
                 if isinstance(entry, RoutingEntry):
-                    self._push(
+                    push(heap, (
                         safe_lower_bound(d - entry.covering_radius),
                         _KIND_NODE,
+                        next(counter),
                         (entry.child_page_id, d, level + 1),
-                    )
+                    ))
                 else:
-                    self._push(d, _KIND_OBJECT, (entry.object_id, d))
+                    push(heap, (d, _KIND_OBJECT, next(counter),
+                                (entry.object_id, d)))
             if ex is not None:
                 ex.node_visit(
                     "incremental_nn",
@@ -173,6 +177,7 @@ class IncrementalNNCursor:
                 )
             return
         flt = self._filter
+        skip = self.skip
         ring_tightened = 0
         for entry in node.entries:
             lower = safe_lower_bound(abs(d_router - entry.parent_distance))
@@ -183,14 +188,15 @@ class IncrementalNNCursor:
                     if ring > key:
                         key = ring
                         ring_tightened += 1
-                self._push(
+                push(heap, (
                     key,
                     _KIND_NODE_APPROX,
+                    next(counter),
                     (entry.child_page_id, entry.object_id,
                      entry.covering_radius, level + 1),
-                )
+                ))
             else:
-                if entry.object_id in self.skip:
+                if entry.object_id in skip:
                     continue
                 key = lower
                 if flt is not None:
@@ -198,9 +204,8 @@ class IncrementalNNCursor:
                     if ring > key:
                         key = ring
                         ring_tightened += 1
-                self._push(
-                    key, _KIND_OBJECT_APPROX, (entry.object_id, level)
-                )
+                push(heap, (key, _KIND_OBJECT_APPROX, next(counter),
+                            (entry.object_id, level)))
         if ex is not None:
             deferred = sum(
                 1

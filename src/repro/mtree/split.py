@@ -18,6 +18,10 @@ the ablation benchmarks:
 Partitioning uses the generalized-hyperplane rule (assign each entry to
 the closer promoted object) with a balanced fallback that prevents
 degenerate empty halves.
+
+The tree supplies distances as a batch: ``distances(promoted_id, ids)``
+returns ``d(i, promoted_id)`` for every ``i`` in ``ids``, entry first,
+as one metric-kernel call (:meth:`MetricSpace.pairwise_reflected`).
 """
 
 from __future__ import annotations
@@ -29,8 +33,9 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.mtree.node import Entry
 
-#: distance over object ids, supplied by the tree.
-DistanceFn = Callable[[int, int], float]
+#: ``(promoted_id, ids) -> [d(i, promoted_id) for i in ids]``, supplied
+#: by the tree.
+DistancesFn = Callable[[int, List[int]], Sequence[float]]
 
 
 @dataclass
@@ -50,7 +55,7 @@ def _partition(
     entries: Sequence[Entry],
     left_id: int,
     right_id: int,
-    distance: DistanceFn,
+    distances: DistancesFn,
 ) -> Tuple[List[Entry], List[Entry], float, float, Dict[int, float], Dict[int, float]]:
     """Generalized-hyperplane partition around two promoted objects.
 
@@ -62,13 +67,12 @@ def _partition(
     right: List[Entry] = []
     left_radius = 0.0
     right_radius = 0.0
-    left_dists: Dict[int, float] = {}
-    right_dists: Dict[int, float] = {}
-    for entry in entries:
-        d_left = distance(entry.object_id, left_id)
-        d_right = distance(entry.object_id, right_id)
-        left_dists[entry.object_id] = d_left
-        right_dists[entry.object_id] = d_right
+    ids = [entry.object_id for entry in entries]
+    to_left = distances(left_id, ids)
+    to_right = distances(right_id, ids)
+    left_dists: Dict[int, float] = dict(zip(ids, to_left))
+    right_dists: Dict[int, float] = dict(zip(ids, to_right))
+    for entry, d_left, d_right in zip(entries, to_left, to_right):
         # covering radius must include the subtree radius for routing
         # entries, not just the routing object itself.
         extra = getattr(entry, "covering_radius", 0.0)
@@ -115,13 +119,13 @@ def _partition(
 def _evaluate_pair(
     entries: Sequence[Entry],
     pair: Tuple[int, int],
-    distance: DistanceFn,
+    distances: DistancesFn,
 ) -> Tuple[float, PartitionResult]:
     """Partition around a candidate pair; cost is the mM_RAD criterion
     (the larger of the two covering radii)."""
     left_id, right_id = pair
     left, right, lr, rr, _ld, _rd = _partition(
-        entries, left_id, right_id, distance
+        entries, left_id, right_id, distances
     )
     result = PartitionResult(
         promoted_first=left_id,
@@ -136,18 +140,18 @@ def _evaluate_pair(
 
 def _random_policy(
     entries: Sequence[Entry],
-    distance: DistanceFn,
+    distances: DistancesFn,
     rng: random.Random,
 ) -> PartitionResult:
     ids = [entry.object_id for entry in entries]
     left_id, right_id = rng.sample(ids, 2)
-    _cost, result = _evaluate_pair(entries, (left_id, right_id), distance)
+    _cost, result = _evaluate_pair(entries, (left_id, right_id), distances)
     return result
 
 
 def _sampling_policy(
     entries: Sequence[Entry],
-    distance: DistanceFn,
+    distances: DistancesFn,
     rng: random.Random,
     num_candidates: int = 8,
 ) -> PartitionResult:
@@ -162,7 +166,7 @@ def _sampling_policy(
         if pair in seen:
             continue
         seen.add(pair)
-        cost, result = _evaluate_pair(entries, pair, distance)
+        cost, result = _evaluate_pair(entries, pair, distances)
         if cost < best_cost:
             best_cost = cost
             best_result = result
@@ -172,14 +176,14 @@ def _sampling_policy(
 
 def _mmrad_policy(
     entries: Sequence[Entry],
-    distance: DistanceFn,
+    distances: DistancesFn,
     rng: random.Random,
 ) -> PartitionResult:
     ids = [entry.object_id for entry in entries]
     best_cost = float("inf")
     best_result: PartitionResult | None = None
     for pair in itertools.combinations(ids, 2):
-        cost, result = _evaluate_pair(entries, pair, distance)
+        cost, result = _evaluate_pair(entries, pair, distances)
         if cost < best_cost:
             best_cost = cost
             best_result = result
@@ -196,7 +200,7 @@ PROMOTION_POLICIES: Dict[str, Callable[..., PartitionResult]] = {
 
 def promote_and_partition(
     entries: Sequence[Entry],
-    distance: DistanceFn,
+    distances: DistancesFn,
     policy: str = "sampling",
     rng: random.Random | None = None,
 ) -> PartitionResult:
@@ -210,4 +214,4 @@ def promote_and_partition(
             f"unknown promotion policy {policy!r}; "
             f"choose from {sorted(PROMOTION_POLICIES)}"
         ) from None
-    return chosen(entries, distance, rng or random.Random(0))
+    return chosen(entries, distances, rng or random.Random(0))

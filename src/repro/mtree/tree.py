@@ -371,7 +371,7 @@ class MTree:
         node: MTreeNode = page.payload
         result = promote_and_partition(
             node.entries,
-            self.distance,
+            self._distances_to,
             policy=self.split_policy,
             rng=self.rng,
         )
@@ -405,6 +405,10 @@ class MTree:
         )
         return first, second
 
+    def _distances_to(self, object_id: int, ids: List[int]) -> List[float]:
+        """``[self.distance(i, object_id) for i in ids]`` as one batch."""
+        return self.space.pairwise_reflected(object_id, ids).tolist()
+
     def _refresh_parent_distances(
         self, node: MTreeNode, parent_object_id: int
     ) -> None:
@@ -413,9 +417,9 @@ class MTree:
             return
         # one batch for the whole node; reflected so each pair keeps
         # the legacy entry-first argument order.
-        distances = self.space.pairwise_reflected(
+        distances = self._distances_to(
             parent_object_id, [entry.object_id for entry in node.entries]
-        ).tolist()
+        )
         for entry, d in zip(node.entries, distances):
             entry.parent_distance = d
 

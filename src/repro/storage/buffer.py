@@ -15,11 +15,12 @@ from __future__ import annotations
 import contextlib
 import threading
 from collections import OrderedDict
+from types import SimpleNamespace
 from typing import Any, ContextManager, Optional
 
 from repro.faults.retry import call_with_retry
 from repro.storage.pages import Page, PageError, PageManager
-from repro.storage.stats import IOStats
+from repro.storage.stats import IOStats, ThreadTallies
 
 #: shared no-op lock used until :meth:`LRUBuffer.make_thread_safe` is
 #: called — ``nullcontext`` is stateless, so one instance serves all
@@ -39,11 +40,15 @@ class LRUBuffer:
     concurrent readers corrupt it; the serving layer calls
     :meth:`make_thread_safe` to serialize page operations.
 
-    Thread-safe mode also mirrors every accounting increment into a
-    **per-thread** :class:`IOStats`: a query runs entirely on one
-    worker thread, so deltas of :meth:`local_stats` attribute page
-    faults to exactly the query that incurred them, where deltas of
-    the shared ``stats`` would absorb concurrent neighbours' faults.
+    Each access charges exactly one :class:`IOStats`, the calling
+    thread's tally.  Single-threaded there is one tally, and ``stats``
+    is that live object.  In thread-safe mode every thread gets its
+    own tally (a :class:`~repro.storage.stats.ThreadTallies`), updated
+    without a shared counter: a query runs entirely on one worker
+    thread, so deltas of :meth:`local_stats` attribute page faults to
+    exactly the query that incurred them, and ``stats`` is a new
+    :class:`IOStats` holding the sum of all tallies since the last
+    :meth:`reset_stats`.
     """
 
     def __init__(
@@ -58,19 +63,44 @@ class LRUBuffer:
         self.capacity = capacity
         self.name = name
         self._frames: "OrderedDict[int, Page]" = OrderedDict()
-        self.stats = IOStats()
         self._lock: ContextManager[None] = _UNLOCKED
-        self._local: Optional[threading.local] = None
+        self._own = IOStats()
+        # the caller's tally is ``self._local.tally``: the one shared
+        # tally until make_thread_safe, then the thread's own.
+        self._local: Any = SimpleNamespace(tally=self._own)
+        self._tallies: Optional[ThreadTallies[IOStats]] = None
+        # thread-safe mode: the totals at the last reset_stats().
+        self._base = IOStats()
 
     def make_thread_safe(self) -> None:
         """Serialize page operations behind a reentrant lock (idempotent).
 
-        Also switches :meth:`local_stats` to per-thread counters for
-        exact per-query attribution.
+        Also gives every thread its own tally, so :meth:`local_stats`
+        attributes I/O to one query exactly.  The counts made so far
+        stay in ``stats``.
         """
-        if self._lock is _UNLOCKED:
+        if self._tallies is None:
             self._lock = threading.RLock()
-            self._local = threading.local()
+            self._tallies = ThreadTallies(IOStats, IOStats.merge, self._own)
+            self._local = self._tallies.local
+
+    def _tally(self) -> IOStats:
+        """The calling thread's tally."""
+        try:
+            return self._local.tally
+        except AttributeError:  # first access on this thread
+            return self._tallies.register()  # type: ignore[union-attr]
+
+    @property
+    def stats(self) -> IOStats:
+        """I/O counters since the last :meth:`reset_stats`, all threads.
+
+        Single-threaded this is the live tally; in thread-safe mode a
+        new object summing every thread's tally.
+        """
+        if self._tallies is None:
+            return self._own
+        return self._tallies.total().delta_since(self._base)
 
     def local_stats(self) -> IOStats:
         """The calling thread's own counters (live object, not a copy).
@@ -79,37 +109,33 @@ class LRUBuffer:
         (where the two are identical).  Per-thread counters only ever
         grow — callers diff snapshots, as with ``stats``.
         """
-        if self._local is None:
-            return self.stats
-        stats = getattr(self._local, "stats", None)
-        if stats is None:
-            stats = self._local.stats = IOStats()
-        return stats
+        return self._tally()
 
-    def _sinks(self) -> "tuple[IOStats, ...]":
-        """The stats objects the current access must be charged to."""
-        if self._local is None:
-            return (self.stats,)
-        return (self.stats, self.local_stats())
+    def reset_stats(self) -> None:
+        """Zero ``stats``; per-thread tallies keep growing."""
+        if self._tallies is None:
+            self._own.reset()
+        else:
+            self._base = self._tallies.total()
 
     # ------------------------------------------------------------------
     # page interface used by access methods
     # ------------------------------------------------------------------
     def get(self, page_id: int) -> Page:
         """Read a page through the buffer (logical read)."""
+        try:
+            stats = self._local.tally
+        except AttributeError:  # first access on this thread
+            stats = self._tallies.register()  # type: ignore[union-attr]
         with self._lock:
-            sinks = self._sinks()
-            for stats in sinks:
-                stats.logical_reads += 1
+            stats.logical_reads += 1
             page = self._frames.get(page_id)
             if page is not None:
                 self._frames.move_to_end(page_id)
-                for stats in sinks:
-                    stats.buffer_hits += 1
+                stats.buffer_hits += 1
                 return page
             page = self._physical_read(page_id)
-            for stats in sinks:
-                stats.page_faults += 1
+            stats.page_faults += 1
             self._admit(page)
             return page
 
@@ -142,19 +168,21 @@ class LRUBuffer:
         fault accounting — the paper charges faults, not write-backs)
         when evicted or when :meth:`flush` is called.
         """
+        try:
+            stats = self._local.tally
+        except AttributeError:  # first access on this thread
+            stats = self._tallies.register()  # type: ignore[union-attr]
         with self._lock:
-            sinks = self._sinks()
-            for stats in sinks:
-                stats.logical_writes += 1
+            stats.logical_writes += 1
             page.dirty = True
-            if page.page_id in self._frames:
-                self._frames.move_to_end(page.page_id)
-                self._frames[page.page_id] = page
-                for stats in sinks:
-                    stats.buffer_hits += 1
+            page_id = page.page_id
+            frames = self._frames
+            if page_id in frames:
+                frames.move_to_end(page_id)
+                frames[page_id] = page
+                stats.buffer_hits += 1
                 return
-            for stats in sinks:
-                stats.page_faults += 1
+            stats.page_faults += 1
             self._admit(page)
 
     def new_page(self, payload: Any = None) -> Page:
@@ -167,9 +195,9 @@ class LRUBuffer:
         with self._lock:
             page = self.manager.allocate_page(payload)
             page.dirty = True
-            for stats in self._sinks():
-                stats.logical_writes += 1
-                stats.buffer_hits += 1
+            stats = self._tally()
+            stats.logical_writes += 1
+            stats.buffer_hits += 1
             self._admit(page)
             return page
 
@@ -329,8 +357,8 @@ class BufferPool:
 
     def reset_stats(self) -> None:
         """Zero both buffers' counters (between benchmark repetitions)."""
-        self.index_buffer.stats.reset()
-        self.aux_buffer.stats.reset()
+        self.index_buffer.reset_stats()
+        self.aux_buffer.reset_stats()
 
     def snapshot(self) -> dict:
         """Both buffers plus the combined counters, as plain types."""

@@ -12,12 +12,18 @@ The paper evaluates algorithms along three axes (Section 5):
 turns the counters into seconds, and :class:`QueryStats` bundles all
 per-query counters (including distance computations and exact-score
 computations, the quantity reported in the paper's Table 3).
+:class:`ThreadTallies` gives each thread its own counters, so
+concurrent queries count without sharing a lock.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
+from typing import Callable, Generic, List, Tuple, TypeVar
+
+T = TypeVar("T")
 
 #: Cost charged per page fault, in seconds (paper Section 5: "a cost of
 #: 8msec is attributed to each page fault").
@@ -92,6 +98,60 @@ class IOStats:
             buffer_hits=self.buffer_hits - earlier.buffer_hits,
             pages_allocated=self.pages_allocated - earlier.pages_allocated,
         )
+
+
+class ThreadTallies(Generic[T]):
+    """One tally per thread; the total is the sum of all of them.
+
+    A thread finds its own tally at ``local.tally``; the first time it
+    counts, that attribute is missing and it calls :meth:`register`,
+    which takes the lock once.  From then on the thread increments its
+    tally without any lock: no other thread writes to it, so no
+    increment is lost.  :meth:`total` sums every tally under the lock.
+
+    ``new()`` makes an empty tally and ``fold(into, tally)`` adds one
+    into another.  The tallies of threads that have exited are folded
+    into one retired tally at the next registration, so their counts
+    stay in the total while the list stays as long as the live threads.
+    ``start`` seeds the retired tally (the counts made before the owner
+    went multi-threaded); it is copied, not kept.
+    """
+
+    def __init__(
+        self, new: Callable[[], T], fold: Callable[[T, T], None], start: T
+    ) -> None:
+        self.local = threading.local()
+        self._new = new
+        self._fold = fold
+        self._lock = threading.Lock()
+        self._retired = new()
+        fold(self._retired, start)
+        self._live: List[Tuple[threading.Thread, T]] = []
+
+    def register(self) -> T:
+        """Give the calling thread a fresh tally and return it."""
+        tally = self._new()
+        me = threading.current_thread()
+        with self._lock:
+            live = []
+            for thread, other in self._live:
+                if thread.is_alive():
+                    live.append((thread, other))
+                else:
+                    self._fold(self._retired, other)
+            live.append((me, tally))
+            self._live = live
+        self.local.tally = tally
+        return tally
+
+    def total(self) -> T:
+        """A new tally holding the sum of every thread's tally."""
+        out = self._new()
+        with self._lock:
+            self._fold(out, self._retired)
+            for _thread, tally in self._live:
+                self._fold(out, tally)
+        return out
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,7 @@ class VPTree:
             return self._new_page(_LeafNode(vantage_above, entries))
         vantage = ids[self.rng.randrange(len(ids))]
         rest = [obj for obj in ids if obj != vantage]
-        distances = [self.space.distance(vantage, obj) for obj in rest]
+        distances = self.space.pairwise(vantage, rest).tolist()
         order = sorted(range(len(rest)), key=lambda i: distances[i])
         mid = len(rest) // 2
         mu = distances[order[mid]]

@@ -86,3 +86,71 @@ class TestThreadLocalAttribution:
         # counter remained exact in aggregate.
         assert per_thread == {"x": 7, "y": 13}
         assert metric.count == 20
+
+
+def _run_threads(*workers):
+    import threading
+
+    threads = [threading.Thread(target=w) for w in workers]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+
+
+class TestPerThreadTallies:
+    """Thread-safe mode keeps one ``[count, batches]`` tally per
+    thread; ``count`` and ``batches`` are their sums since ``reset``."""
+
+    def test_local_counts_and_batches_partition_the_globals(self, metric):
+        metric.make_thread_safe()
+        a, b = np.array([0.0]), np.array([1.0])
+        per_thread = {}
+
+        def worker(tag, calls, batches):
+            count0, batch0 = metric.local_count(), metric.local_batches()
+            for _ in range(calls):
+                metric(a, b)
+            for _ in range(batches):
+                metric.pairwise(a, [b, a, b])  # a is free: 2 each
+            per_thread[tag] = (
+                metric.local_count() - count0,
+                metric.local_batches() - batch0,
+            )
+
+        _run_threads(*(
+            (lambda t=tag, c=c, k=k: worker(t, c, k))
+            for tag, c, k in (("x", 500, 3), ("y", 800, 5), ("z", 0, 7))
+        ))
+        assert per_thread == {"x": (506, 3), "y": (810, 5), "z": (14, 7)}
+        assert metric.count == 506 + 810 + 14
+        assert metric.batches == 15
+
+    def test_reset_zeroes_globals_and_leaves_locals(self, metric):
+        metric.make_thread_safe()
+        a, b = np.array([0.0]), np.array([1.0])
+        _run_threads(lambda: [metric(a, b) for _ in range(4)])
+        metric(a, b)
+        metric.pairwise(a, [b, b])
+        local = (metric.local_count(), metric.local_batches())
+        assert (metric.count, metric.batches) == (7, 1)
+        metric.reset()
+        assert (metric.count, metric.batches) == (0, 0)
+        assert (metric.local_count(), metric.local_batches()) == local
+        metric(a, b)
+        assert metric.count == 1
+        assert metric.local_count() == local[0] + 1
+
+    def test_exited_threads_stay_counted(self, metric):
+        a, b = np.array([0.0]), np.array([1.0])
+        metric(a, b)  # counted before going multi-threaded
+        metric.make_thread_safe()
+        _run_threads(lambda: [metric(a, b) for _ in range(5)])
+        # a later thread registers after the first exited, folding its
+        # tally away; the total must not change.
+        _run_threads(lambda: metric.pairwise(a, [b, b, b]))
+        assert metric.count == 1 + 5 + 3
+        assert metric.batches == 1
+        metric.reset()
+        _run_threads(lambda: metric(a, b))
+        assert metric.count == 1

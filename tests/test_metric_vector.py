@@ -98,3 +98,65 @@ def test_lp_monotone_in_p(a, b):
     d2 = EuclideanMetric()(a, b)
     dinf = ChebyshevMetric()(a, b)
     assert d1 >= d2 - 1e-9 >= dinf - 2e-9
+
+
+#: p = 1, 2, 3 and infinity: each branch of ``LpMetric.__call__``.
+_LP_METRICS = [
+    ManhattanMetric(), EuclideanMetric(), LpMetric(p=3), ChebyshevMetric()
+]
+
+
+@st.composite
+def _row_pairs(draw):
+    """Two equal-length float64 rows; lengths straddle the 8 elements
+    from which numpy's sum switches to its unrolled order."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    element = st.floats(
+        min_value=-1e6, max_value=1e6, allow_nan=False, allow_subnormal=False
+    )
+    rows = st.lists(element, min_size=n, max_size=n)
+    return np.array(draw(rows)), np.array(draw(rows))
+
+
+@pytest.mark.parametrize("metric", _LP_METRICS, ids=lambda m: m.name)
+class TestFloat64FastPath:
+    """``__call__`` on two float64 rows takes a fast path; every other
+    payload takes the generic one.  Both must agree bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=_row_pairs())
+    def test_rows_equal_the_generic_path(self, metric, pair):
+        a, b = pair
+        fast = metric(a, b)
+        assert type(fast) is float
+        assert fast == metric(a.tolist(), b.tolist())
+        assert fast == metric(b, a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=_row_pairs())
+    def test_strided_views_equal_contiguous_rows(self, metric, pair):
+        a, b = pair
+        wide = np.zeros((2, 2 * len(a)))
+        wide[0, ::2] = a
+        wide[1, 1::2] = b
+        view_a, view_b = wide[0, ::2], wide[1, 1::2]
+        assert not view_a.flags.c_contiguous or len(a) <= 1
+        assert metric(view_a, view_b) == metric(a.tolist(), b.tolist())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.lists(st.integers(0, 255), min_size=12, max_size=12),
+        b=st.lists(st.integers(0, 255), min_size=12, max_size=12),
+    )
+    def test_int_arrays_and_lists_equal_float_rows(self, metric, a, b):
+        expected = metric(np.array(a, dtype=float), np.array(b, dtype=float))
+        for dtype in (np.int64, np.uint8):
+            assert metric(np.array(a, dtype), np.array(b, dtype)) == expected
+        assert metric(a, b) == expected
+
+    def test_shape_mismatch_raises_the_generic_error(self, metric):
+        with pytest.raises(ValueError) as from_rows:
+            metric(np.zeros(3), np.zeros(4))
+        with pytest.raises(ValueError) as from_lists:
+            metric([0.0] * 3, [0.0] * 4)
+        assert str(from_rows.value) == str(from_lists.value)

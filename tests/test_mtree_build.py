@@ -99,11 +99,18 @@ class TestSplitPolicies:
         entries = [LeafEntry(i, 0.0) for i in range(n)]
         return entries, space
 
+    @staticmethod
+    def _distances(space):
+        """The tree's batch contract: ``d(i, promoted)`` for each id."""
+        return lambda promoted, ids: space.pairwise_reflected(
+            promoted, ids
+        ).tolist()
+
     @pytest.mark.parametrize("policy", sorted(PROMOTION_POLICIES))
     def test_partition_is_exhaustive_and_disjoint(self, policy):
         entries, space = self._entries(20)
         result = promote_and_partition(
-            entries, space.distance, policy=policy, rng=random.Random(1)
+            entries, self._distances(space), policy=policy, rng=random.Random(1)
         )
         got = {e.object_id for e in result.first_entries} | {
             e.object_id for e in result.second_entries
@@ -118,7 +125,7 @@ class TestSplitPolicies:
     def test_both_sides_nonempty(self, policy):
         entries, space = self._entries(12)
         result = promote_and_partition(
-            entries, space.distance, policy=policy, rng=random.Random(2)
+            entries, self._distances(space), policy=policy, rng=random.Random(2)
         )
         assert len(result.first_entries) >= 2
         assert len(result.second_entries) >= 2
@@ -127,7 +134,7 @@ class TestSplitPolicies:
     def test_radii_cover_members(self, policy):
         entries, space = self._entries(15)
         result = promote_and_partition(
-            entries, space.distance, policy=policy, rng=random.Random(3)
+            entries, self._distances(space), policy=policy, rng=random.Random(3)
         )
         for entry in result.first_entries:
             assert (
@@ -143,10 +150,10 @@ class TestSplitPolicies:
     def test_mmrad_no_worse_than_random(self):
         entries, space = self._entries(16, seed=5)
         best = promote_and_partition(
-            entries, space.distance, policy="mmrad", rng=random.Random(0)
+            entries, self._distances(space), policy="mmrad", rng=random.Random(0)
         )
         rand = promote_and_partition(
-            entries, space.distance, policy="random", rng=random.Random(0)
+            entries, self._distances(space), policy="random", rng=random.Random(0)
         )
         assert max(best.first_radius, best.second_radius) <= (
             max(rand.first_radius, rand.second_radius) + 1e-12
@@ -155,9 +162,45 @@ class TestSplitPolicies:
     def test_too_few_entries_rejected(self):
         entries, space = self._entries(3)
         with pytest.raises(ValueError):
-            promote_and_partition(entries, space.distance)
+            promote_and_partition(entries, self._distances(space))
 
     def test_unknown_policy_rejected(self):
         entries, space = self._entries(8)
         with pytest.raises(ValueError):
-            promote_and_partition(entries, space.distance, policy="nope")
+            promote_and_partition(entries, self._distances(space), policy="nope")
+
+    def test_each_candidate_pair_is_two_batches_entry_first(self):
+        entries, space = self._entries(10)
+        calls = []
+
+        def distances(promoted, ids):
+            calls.append((promoted, list(ids)))
+            return [space.distance(i, promoted) for i in ids]
+
+        result = promote_and_partition(
+            entries, distances, policy="random", rng=random.Random(4)
+        )
+        ids = [e.object_id for e in entries]
+        assert calls == [
+            (result.promoted_first, ids),
+            (result.promoted_second, ids),
+        ]
+
+    @pytest.mark.parametrize("policy", sorted(PROMOTION_POLICIES))
+    def test_batched_split_counts_like_the_scalar_path(self, policy):
+        entries, space = self._entries(12, seed=6)
+        metric = space.metric
+        promote_and_partition(
+            entries, self._distances(space), policy=policy,
+            rng=random.Random(5),
+        )
+        batched = metric.count
+        metric.reset()
+        promote_and_partition(
+            entries,
+            lambda promoted, ids: [space.distance(i, promoted) for i in ids],
+            policy=policy,
+            rng=random.Random(5),
+        )
+        # the promoted object's own slot is the identity pair: free.
+        assert batched == metric.count > 0

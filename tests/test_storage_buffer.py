@@ -209,3 +209,89 @@ class TestThreadLocalAttribution:
         local = pool.local_io()
         assert local.page_faults == 2
         assert local.logical_reads == 2
+
+
+class TestPerThreadTallies:
+    """Thread-safe mode charges each access to one tally, the calling
+    thread's; ``stats`` sums the tallies since ``reset_stats``."""
+
+    @staticmethod
+    def _run(*workers):
+        import threading
+
+        threads = [threading.Thread(target=w) for w in workers]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+    def test_accesses_split_into_hits_and_faults_under_concurrency(self):
+        import random
+
+        mgr, buf = make_buffer(capacity=4)
+        buf.make_thread_safe()
+        pages = [mgr.allocate() for _ in range(10)]
+        per_thread = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            mine = buf.local_stats()
+            before = mine.snapshot()
+            for _ in range(400):
+                page_id = rng.choice(pages)
+                page = buf.get(page_id)
+                if rng.random() < 0.4:
+                    buf.put(page)
+            per_thread.append(mine.delta_since(before))
+
+        self._run(*(lambda s=s: worker(s) for s in range(4)))
+        total = buf.stats
+        assert total.logical_accesses == (
+            total.buffer_hits + total.page_faults
+        )
+        assert total.logical_reads == 4 * 400
+        for field in ("logical_reads", "logical_writes", "page_faults",
+                      "buffer_hits"):
+            assert sum(getattr(s, field) for s in per_thread) == getattr(
+                total, field
+            )
+        for stats in per_thread:
+            assert stats.logical_accesses == (
+                stats.buffer_hits + stats.page_faults
+            )
+
+    def test_reset_stats_zeroes_globals_and_leaves_locals(self):
+        mgr, buf = make_buffer(capacity=2)
+        buf.make_thread_safe()
+        pages = [mgr.allocate() for _ in range(3)]
+        self._run(lambda: [buf.get(p) for p in pages])
+        buf.get(pages[0])
+        local = buf.local_stats().snapshot()
+        assert buf.stats.logical_reads == 4
+        buf.reset_stats()
+        assert buf.stats == type(local)()
+        assert buf.local_stats() == local
+        buf.new_page()
+        assert buf.stats.logical_writes == buf.stats.buffer_hits == 1
+
+    def test_exited_threads_stay_counted(self):
+        mgr, buf = make_buffer(capacity=2)
+        pages = [mgr.allocate() for _ in range(3)]
+        buf.get(pages[0])  # charged before going multi-threaded
+        buf.make_thread_safe()
+        self._run(lambda: [buf.get(p) for p in pages])
+        # a later thread registers after the first exited.
+        self._run(lambda: buf.get(pages[2]))
+        stats = buf.stats
+        assert stats.logical_reads == 5
+        assert stats.page_faults + stats.buffer_hits == 5
+
+    def test_pool_reset_resets_each_buffer(self):
+        pool = BufferPool()
+        pool.make_thread_safe()
+        pool.index_buffer.get(pool.index_manager.allocate())
+        pool.aux_buffer.get(pool.aux_manager.allocate())
+        local = pool.local_io()
+        pool.reset_stats()
+        assert pool.combined_io().logical_accesses == 0
+        assert pool.local_io() == local
