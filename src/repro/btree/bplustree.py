@@ -187,10 +187,7 @@ class BPlusTree:
         leaf page — the access pattern the paper relies on for the
         ``AuxB+``-tree's "sorted accesses".
         """
-        if low is None:
-            page = self.buffer.get(self._leftmost_leaf_id())
-        else:
-            page = self._leaf_page(low)
+        page = self._leftmost_leaf() if low is None else self._leaf_page(low)
         while True:
             node: _Node = page.payload
             start = 0
@@ -235,13 +232,12 @@ class BPlusTree:
             page = self.buffer.get(node.children[idx])
         return page
 
-    def _leftmost_leaf_id(self) -> int:
-        node_id = self._root_id
-        node: _Node = self.buffer.get(node_id).payload
-        while not node.is_leaf:
-            node_id = node.children[0]
-            node = self.buffer.get(node_id).payload
-        return node_id
+    def _leftmost_leaf(self):
+        """The page of the first leaf in key order."""
+        page = self.buffer.get(self._root_id)
+        while not page.payload.is_leaf:
+            page = self.buffer.get(page.payload.children[0])
+        return page
 
     def _insert_into(
         self, node_id: int, key: int, value: Any

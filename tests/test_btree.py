@@ -173,7 +173,7 @@ class TestDiskBehaviour:
 
 def leaf_chain(tree):
     """The keys of every leaf, in ``next_leaf`` order (empty ones too)."""
-    page_id = tree._leftmost_leaf_id()
+    page_id = tree._leftmost_leaf().page_id
     leaves = []
     while page_id != -1:
         node = tree.buffer.get(page_id).payload
@@ -314,3 +314,10 @@ class TestPointAccessReads:
             buf, lambda: list(tree.items(low=0))
         ) == tree.height + len(leaves) - 1
         tree.check_invariants()
+
+    def test_full_scan_reads_the_first_leaf_once(self):
+        tree, buf = boxed_tree(range(100))
+        assert (tree.height, len(leaf_chain(tree))) == (4, 49)
+        # 3 inner nodes on the way down, then each of the 49 leaves.
+        assert reads_of(buf, lambda: list(tree.items())) == 52
+        assert reads_of(buf, lambda: list(tree.keys())) == 52
