@@ -11,8 +11,7 @@ exhaustive — there is no side channel to the raw metric.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-from typing import Any, List, Optional, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -27,7 +26,7 @@ class CountingMetric:
     counting, matching the convention that ``d(p, p)`` is never actually
     computed by the C++ implementations the paper benchmarks.
 
-    Counts live in a ``[count, batches]`` tally.  Single-threaded there
+    Counts live in a ``count``/``batches`` tally.  Single-threaded there
     is one tally and no lock is ever taken.  The serving layer
     (:mod:`repro.service`) calls :meth:`make_thread_safe` once, after
     which every thread counts into its **own** tally (a
@@ -46,21 +45,16 @@ class CountingMetric:
     def __init__(self, inner: Metric) -> None:
         self.inner = inner
         self.name = getattr(inner, "name", "metric")
-        self._own = [0, 0]
-        # the caller's tally is ``self._local.tally``: the one shared
-        # tally until make_thread_safe, then the thread's own.
-        self._local: Any = SimpleNamespace(tally=self._own)
-        self._tallies: Optional[ThreadTallies[List[int]]] = None
-        # thread-safe mode: the totals at the last reset().
-        self._base = (0, 0)
+        self._tallies: ThreadTallies[_Counts] = ThreadTallies(_Counts)
 
     def __call__(self, a: Any, b: Any) -> float:
         if a is b:
             return 0.0
+        tallies = self._tallies
         try:
-            self._local.tally[0] += 1
+            tallies.local.tally.count += 1
         except AttributeError:  # first evaluation on this thread
-            self._tallies.register()[0] += 1  # type: ignore[union-attr]
+            tallies.register().count += 1
         return self.inner(a, b)
 
     def pairwise(
@@ -81,9 +75,9 @@ class CountingMetric:
         if n == 0:
             return np.empty(0, dtype=float)
         identity = [i for i, c in enumerate(candidates) if c is a]
-        tally = self._tally()
-        tally[0] += n - len(identity)
-        tally[1] += 1
+        tally = self._tallies.mine()
+        tally.count += n - len(identity)
+        tally.batches += 1
         if not identity:
             return pairwise_distances(self.inner, a, candidates, reflect=reflect)
         survivors = [c for c in candidates if c is not a]
@@ -106,44 +100,27 @@ class CountingMetric:
         so far stay in ``count``; every thread's :meth:`local_count`
         starts at 0.
         """
-        if self._tallies is None:
-            self._tallies = ThreadTallies(_new_tally, _fold_tally, self._own)
-            self._local = self._tallies.local
-
-    def _tally(self) -> List[int]:
-        """The calling thread's ``[count, batches]`` tally."""
-        try:
-            return self._local.tally
-        except AttributeError:  # first evaluation on this thread
-            return self._tallies.register()  # type: ignore[union-attr]
-
-    def _totals(self) -> List[int]:
-        if self._tallies is None:
-            return self._own
-        total = self._tallies.total()
-        return [total[0] - self._base[0], total[1] - self._base[1]]
+        self._tallies.make_thread_safe()
 
     @property
     def count(self) -> int:
         """Evaluations since the last :meth:`reset`, over all threads."""
-        return self._totals()[0]
+        return self._tallies.total().count
 
     @property
     def batches(self) -> int:
         """Batch-kernel invocations since the last :meth:`reset`."""
-        return self._totals()[1]
+        return self._tallies.total().batches
 
     def local_count(self) -> int:
         """The calling thread's own evaluation count.
 
-        Falls back to the global ``count`` in single-threaded mode
-        (where the two are identical).  Per-thread counts only ever
-        grow, so callers diff two calls the same way they diff
-        :meth:`snapshot` — :meth:`reset` does not touch them.
+        The global ``count`` in single-threaded mode (where the two are
+        identical).  Per-thread counts only ever grow, so callers diff
+        two calls the same way they diff :meth:`snapshot` —
+        :meth:`reset` does not touch them.
         """
-        if self._tallies is None:
-            return self.count
-        return self._tally()[0]
+        return self._tallies.mine().count
 
     def local_batches(self) -> int:
         """The calling thread's own batch-kernel invocation count.
@@ -152,9 +129,7 @@ class CountingMetric:
         single-threaded mode, per-thread (grow-only) after
         :meth:`make_thread_safe`.
         """
-        if self._tallies is None:
-            return self.batches
-        return self._tally()[1]
+        return self._tallies.mine().batches
 
     def reset(self) -> None:
         """Zero ``count`` and ``batches``.
@@ -162,11 +137,7 @@ class CountingMetric:
         In thread-safe mode the per-thread tallies keep growing; the
         globals restart from their current sum.
         """
-        if self._tallies is None:
-            self._own[0] = self._own[1] = 0
-        else:
-            total = self._tallies.total()
-            self._base = (total[0], total[1])
+        self._tallies.reset()
 
     def snapshot(self) -> int:
         """Return the current evaluation count."""
@@ -180,10 +151,22 @@ class CountingMetric:
         return f"CountingMetric({self.inner!r}, count={self.count})"
 
 
-def _new_tally() -> List[int]:
-    return [0, 0]
 
+class _Counts:
+    """One ``count``/``batches`` tally (see :class:`ThreadTallies`)."""
 
-def _fold_tally(into: List[int], tally: List[int]) -> None:
-    into[0] += tally[0]
-    into[1] += tally[1]
+    __slots__ = ("count", "batches")
+
+    def __init__(self, count: int = 0, batches: int = 0) -> None:
+        self.count = count
+        self.batches = batches
+
+    def merge(self, other: "_Counts") -> None:
+        self.count += other.count
+        self.batches += other.batches
+
+    def reset(self) -> None:
+        self.count = self.batches = 0
+
+    def delta_since(self, earlier: "_Counts") -> "_Counts":
+        return _Counts(self.count - earlier.count, self.batches - earlier.batches)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import threading
 from collections import OrderedDict
-from types import SimpleNamespace
 from typing import Any, ContextManager, Optional
 
 from repro.faults.retry import call_with_retry
@@ -64,13 +63,7 @@ class LRUBuffer:
         self.name = name
         self._frames: "OrderedDict[int, Page]" = OrderedDict()
         self._lock: ContextManager[None] = _UNLOCKED
-        self._own = IOStats()
-        # the caller's tally is ``self._local.tally``: the one shared
-        # tally until make_thread_safe, then the thread's own.
-        self._local: Any = SimpleNamespace(tally=self._own)
-        self._tallies: Optional[ThreadTallies[IOStats]] = None
-        # thread-safe mode: the totals at the last reset_stats().
-        self._base = IOStats()
+        self._tallies: ThreadTallies[IOStats] = ThreadTallies(IOStats)
 
     def make_thread_safe(self) -> None:
         """Serialize page operations behind a reentrant lock (idempotent).
@@ -79,17 +72,9 @@ class LRUBuffer:
         attributes I/O to one query exactly.  The counts made so far
         stay in ``stats``.
         """
-        if self._tallies is None:
+        if self._lock is _UNLOCKED:
             self._lock = threading.RLock()
-            self._tallies = ThreadTallies(IOStats, IOStats.merge, self._own)
-            self._local = self._tallies.local
-
-    def _tally(self) -> IOStats:
-        """The calling thread's tally."""
-        try:
-            return self._local.tally
-        except AttributeError:  # first access on this thread
-            return self._tallies.register()  # type: ignore[union-attr]
+            self._tallies.make_thread_safe()
 
     @property
     def stats(self) -> IOStats:
@@ -98,35 +83,31 @@ class LRUBuffer:
         Single-threaded this is the live tally; in thread-safe mode a
         new object summing every thread's tally.
         """
-        if self._tallies is None:
-            return self._own
-        return self._tallies.total().delta_since(self._base)
+        return self._tallies.total()
 
     def local_stats(self) -> IOStats:
         """The calling thread's own counters (live object, not a copy).
 
-        Falls back to the global ``stats`` in single-threaded mode
-        (where the two are identical).  Per-thread counters only ever
-        grow — callers diff snapshots, as with ``stats``.
+        The global ``stats`` in single-threaded mode (where the two are
+        identical).  Per-thread counters only ever grow — callers diff
+        snapshots, as with ``stats``.
         """
-        return self._tally()
+        return self._tallies.mine()
 
     def reset_stats(self) -> None:
         """Zero ``stats``; per-thread tallies keep growing."""
-        if self._tallies is None:
-            self._own.reset()
-        else:
-            self._base = self._tallies.total()
+        self._tallies.reset()
 
     # ------------------------------------------------------------------
     # page interface used by access methods
     # ------------------------------------------------------------------
     def get(self, page_id: int) -> Page:
         """Read a page through the buffer (logical read)."""
+        tallies = self._tallies
         try:
-            stats = self._local.tally
+            stats = tallies.local.tally
         except AttributeError:  # first access on this thread
-            stats = self._tallies.register()  # type: ignore[union-attr]
+            stats = tallies.register()
         with self._lock:
             stats.logical_reads += 1
             page = self._frames.get(page_id)
@@ -168,10 +149,11 @@ class LRUBuffer:
         fault accounting — the paper charges faults, not write-backs)
         when evicted or when :meth:`flush` is called.
         """
+        tallies = self._tallies
         try:
-            stats = self._local.tally
+            stats = tallies.local.tally
         except AttributeError:  # first access on this thread
-            stats = self._tallies.register()  # type: ignore[union-attr]
+            stats = tallies.register()
         with self._lock:
             stats.logical_writes += 1
             page.dirty = True
@@ -195,7 +177,7 @@ class LRUBuffer:
         with self._lock:
             page = self.manager.allocate_page(payload)
             page.dirty = True
-            stats = self._tally()
+            stats = self._tallies.mine()
             stats.logical_writes += 1
             stats.buffer_hits += 1
             self._admit(page)

@@ -21,8 +21,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Generic, List, Tuple, TypeVar
+from types import SimpleNamespace
+from typing import Any, Callable, Generic, List, Tuple, TypeVar
 
+#: a tally type: ``merge(other)``, ``reset()``, ``delta_since(earlier)``.
 T = TypeVar("T")
 
 #: Cost charged per page fault, in seconds (paper Section 5: "a cost of
@@ -101,32 +103,41 @@ class IOStats:
 
 
 class ThreadTallies(Generic[T]):
-    """One tally per thread; the total is the sum of all of them.
+    """The cost counters of one owner, kept as one tally per thread.
 
-    A thread finds its own tally at ``local.tally``; the first time it
-    counts, that attribute is missing and it calls :meth:`register`,
-    which takes the lock once.  From then on the thread increments its
-    tally without any lock: no other thread writes to it, so no
-    increment is lost.  :meth:`total` sums every tally under the lock.
+    A tally is any object with ``merge(other)``, ``reset()`` and
+    ``delta_since(earlier)``, as :class:`IOStats` has; ``new()`` makes
+    an empty one.  The caller's tally is ``local.tally``: hot paths
+    read it directly and call :meth:`register` when the attribute is
+    missing; other code calls :meth:`mine`.
 
-    ``new()`` makes an empty tally and ``fold(into, tally)`` adds one
-    into another.  The tallies of threads that have exited are folded
-    into one retired tally at the next registration, so their counts
-    stay in the total while the list stays as long as the live threads.
-    ``start`` seeds the retired tally (the counts made before the owner
-    went multi-threaded); it is copied, not kept.
+    Single-threaded (the default) there is one tally, and :meth:`total`
+    is that live object.  After :meth:`make_thread_safe` every thread
+    gets its own: it registers the tally once, under the lock, and
+    from then on increments it without any lock — no other thread
+    writes to it, so no increment is lost.  :meth:`total` is then a
+    new tally, the sum of all of them since the last :meth:`reset`.
+    The tallies of threads that have exited are folded into one
+    retired tally at the next registration, so their counts stay in
+    the total while the list stays as long as the live threads.
     """
 
-    def __init__(
-        self, new: Callable[[], T], fold: Callable[[T, T], None], start: T
-    ) -> None:
-        self.local = threading.local()
+    def __init__(self, new: Callable[[], T]) -> None:
         self._new = new
-        self._fold = fold
+        self.local: Any = SimpleNamespace(tally=new())
+        self._threaded = False
         self._lock = threading.Lock()
-        self._retired = new()
-        fold(self._retired, start)
         self._live: List[Tuple[threading.Thread, T]] = []
+        self._retired = new()
+        self._base = new()
+
+    def make_thread_safe(self) -> None:
+        """Give every thread its own tally (idempotent).  The counts
+        made so far stay in the total."""
+        if not self._threaded:
+            self._retired.merge(self.local.tally)
+            self.local = threading.local()
+            self._threaded = True
 
     def register(self) -> T:
         """Give the calling thread a fresh tally and return it."""
@@ -138,20 +149,39 @@ class ThreadTallies(Generic[T]):
                 if thread.is_alive():
                     live.append((thread, other))
                 else:
-                    self._fold(self._retired, other)
+                    self._retired.merge(other)
             live.append((me, tally))
             self._live = live
         self.local.tally = tally
         return tally
 
-    def total(self) -> T:
-        """A new tally holding the sum of every thread's tally."""
+    def mine(self) -> T:
+        """The calling thread's tally (the only one, single-threaded)."""
+        try:
+            return self.local.tally
+        except AttributeError:  # first count on this thread
+            return self.register()
+
+    def _sum(self) -> T:
         out = self._new()
         with self._lock:
-            self._fold(out, self._retired)
+            out.merge(self._retired)
             for _thread, tally in self._live:
-                self._fold(out, tally)
+                out.merge(tally)
         return out
+
+    def total(self) -> T:
+        """Counts since the last :meth:`reset`, over all threads."""
+        if not self._threaded:
+            return self.local.tally
+        return self._sum().delta_since(self._base)
+
+    def reset(self) -> None:
+        """Zero :meth:`total`; per-thread tallies keep growing."""
+        if not self._threaded:
+            self.local.tally.reset()
+        else:
+            self._base = self._sum()
 
 
 @dataclass(frozen=True)

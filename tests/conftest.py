@@ -42,6 +42,25 @@ def make_vector_space(
     )
 
 
+def run_threads(*workers, timeout=60.0):
+    """Run each worker on its own thread, switching threads as often
+    as the interpreter allows, and fail unless all of them finished."""
+    import sys
+    import threading
+
+    threads = [threading.Thread(target=w) for w in workers]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
 def make_engine(
     n: int = 120,
     dims: int = 3,

@@ -6,6 +6,8 @@ import pytest
 from repro.metric.counting import CountingMetric
 from repro.metric.vector import EuclideanMetric
 
+from tests.conftest import run_threads
+
 
 @pytest.fixture
 def metric():
@@ -88,16 +90,6 @@ class TestThreadLocalAttribution:
         assert metric.count == 20
 
 
-def _run_threads(*workers):
-    import threading
-
-    threads = [threading.Thread(target=w) for w in workers]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-
-
 class TestPerThreadTallies:
     """Thread-safe mode keeps one ``[count, batches]`` tally per
     thread; ``count`` and ``batches`` are their sums since ``reset``."""
@@ -118,18 +110,24 @@ class TestPerThreadTallies:
                 metric.local_batches() - batch0,
             )
 
-        _run_threads(*(
+        run_threads(*(
             (lambda t=tag, c=c, k=k: worker(t, c, k))
-            for tag, c, k in (("x", 500, 3), ("y", 800, 5), ("z", 0, 7))
+            for tag, c, k in (
+                ("x", 500, 3), ("y", 800, 5), ("z", 0, 7),
+                ("u", 300, 0), ("v", 700, 1), ("w", 200, 2),
+            )
         ))
-        assert per_thread == {"x": (506, 3), "y": (810, 5), "z": (14, 7)}
-        assert metric.count == 506 + 810 + 14
-        assert metric.batches == 15
+        assert per_thread == {
+            "x": (506, 3), "y": (810, 5), "z": (14, 7),
+            "u": (300, 0), "v": (702, 1), "w": (204, 2),
+        }
+        assert metric.count == 506 + 810 + 14 + 300 + 702 + 204
+        assert metric.batches == 18
 
     def test_reset_zeroes_globals_and_leaves_locals(self, metric):
         metric.make_thread_safe()
         a, b = np.array([0.0]), np.array([1.0])
-        _run_threads(lambda: [metric(a, b) for _ in range(4)])
+        run_threads(lambda: [metric(a, b) for _ in range(4)])
         metric(a, b)
         metric.pairwise(a, [b, b])
         local = (metric.local_count(), metric.local_batches())
@@ -145,12 +143,12 @@ class TestPerThreadTallies:
         a, b = np.array([0.0]), np.array([1.0])
         metric(a, b)  # counted before going multi-threaded
         metric.make_thread_safe()
-        _run_threads(lambda: [metric(a, b) for _ in range(5)])
+        run_threads(lambda: [metric(a, b) for _ in range(5)])
         # a later thread registers after the first exited, folding its
         # tally away; the total must not change.
-        _run_threads(lambda: metric.pairwise(a, [b, b, b]))
+        run_threads(lambda: metric.pairwise(a, [b, b, b]))
         assert metric.count == 1 + 5 + 3
         assert metric.batches == 1
         metric.reset()
-        _run_threads(lambda: metric(a, b))
+        run_threads(lambda: metric(a, b))
         assert metric.count == 1

@@ -5,6 +5,8 @@ import pytest
 from repro.storage.buffer import BufferPool, LRUBuffer
 from repro.storage.pages import PageManager
 
+from tests.conftest import run_threads
+
 
 def make_buffer(capacity=3):
     mgr = PageManager()
@@ -215,16 +217,6 @@ class TestPerThreadTallies:
     """Thread-safe mode charges each access to one tally, the calling
     thread's; ``stats`` sums the tallies since ``reset_stats``."""
 
-    @staticmethod
-    def _run(*workers):
-        import threading
-
-        threads = [threading.Thread(target=w) for w in workers]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
     def test_accesses_split_into_hits_and_faults_under_concurrency(self):
         import random
 
@@ -244,12 +236,12 @@ class TestPerThreadTallies:
                     buf.put(page)
             per_thread.append(mine.delta_since(before))
 
-        self._run(*(lambda s=s: worker(s) for s in range(4)))
+        run_threads(*(lambda s=s: worker(s) for s in range(6)))
         total = buf.stats
         assert total.logical_accesses == (
             total.buffer_hits + total.page_faults
         )
-        assert total.logical_reads == 4 * 400
+        assert total.logical_reads == 6 * 400
         for field in ("logical_reads", "logical_writes", "page_faults",
                       "buffer_hits"):
             assert sum(getattr(s, field) for s in per_thread) == getattr(
@@ -264,7 +256,7 @@ class TestPerThreadTallies:
         mgr, buf = make_buffer(capacity=2)
         buf.make_thread_safe()
         pages = [mgr.allocate() for _ in range(3)]
-        self._run(lambda: [buf.get(p) for p in pages])
+        run_threads(lambda: [buf.get(p) for p in pages])
         buf.get(pages[0])
         local = buf.local_stats().snapshot()
         assert buf.stats.logical_reads == 4
@@ -279,9 +271,9 @@ class TestPerThreadTallies:
         pages = [mgr.allocate() for _ in range(3)]
         buf.get(pages[0])  # charged before going multi-threaded
         buf.make_thread_safe()
-        self._run(lambda: [buf.get(p) for p in pages])
+        run_threads(lambda: [buf.get(p) for p in pages])
         # a later thread registers after the first exited.
-        self._run(lambda: buf.get(pages[2]))
+        run_threads(lambda: buf.get(pages[2]))
         stats = buf.stats
         assert stats.logical_reads == 5
         assert stats.page_faults + stats.buffer_hits == 5
