@@ -39,44 +39,29 @@ class LpMetric:
             self.name = f"l{p:g}"
 
     def __call__(self, a: Sequence[float], b: Sequence[float]) -> float:
-        if (
-            type(a) is np.ndarray
-            and type(b) is np.ndarray
-            and a.dtype is _FLOAT64
-            and b.dtype is _FLOAT64
-            and a.ndim == 1
-            and a.shape == b.shape
-        ):
-            # fast path for float64 rows: the ufuncs and reductions
-            # below are the ones the generic path ends in, minus its
-            # conversions and its second temporary, so the result is
-            # bit-identical.
-            diff = np.subtract(a, b)
-            np.absolute(diff, out=diff)
-            p = self.p
-            if p == 1.0:
-                return float(np.add.reduce(diff, None))
-            if p == 2.0:
-                np.square(diff, out=diff)
-                return float(np.sqrt(np.add.reduce(diff, None)))
-            if math.isinf(p):
-                return float(np.maximum.reduce(diff, None, initial=0.0))
-            np.power(diff, p, out=diff)
-            return float(np.power(np.add.reduce(diff, None), 1.0 / p))
-        av = np.asarray(a, dtype=float)
-        bv = np.asarray(b, dtype=float)
-        if av.shape != bv.shape:
-            raise ValueError(
-                f"dimension mismatch: {av.shape} vs {bv.shape}"
-            )
-        diff = np.abs(av - bv)
-        if math.isinf(self.p):
-            return float(diff.max(initial=0.0))
-        if self.p == 1.0:
-            return float(diff.sum())
-        if self.p == 2.0:
-            return float(np.sqrt(np.square(diff).sum()))
-        return float(np.power(np.power(diff, self.p).sum(), 1.0 / self.p))
+        # float64 ndarrays (the index payloads) are used as they are;
+        # anything else is converted once.
+        if type(a) is not np.ndarray or a.dtype is not _FLOAT64:
+            a = np.asarray(a, dtype=float)
+        if type(b) is not np.ndarray or b.dtype is not _FLOAT64:
+            b = np.asarray(b, dtype=float)
+        if a.shape != b.shape:
+            raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+        if not a.shape:  # ufuncs return 0-d results as scalars: no out=
+            a = a.reshape(1)
+            b = b.reshape(1)
+        diff = np.subtract(a, b)
+        np.absolute(diff, out=diff)
+        p = self.p
+        if p == 1.0:
+            return float(np.add.reduce(diff, None))
+        if p == 2.0:
+            np.square(diff, out=diff)
+            return float(np.sqrt(np.add.reduce(diff, None)))
+        if math.isinf(p):
+            return float(np.maximum.reduce(diff, None, initial=0.0))
+        np.power(diff, p, out=diff)
+        return float(np.power(np.add.reduce(diff, None), 1.0 / p))
 
     def pairwise(
         self,

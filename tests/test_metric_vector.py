@@ -118,19 +118,34 @@ def _row_pairs(draw):
     return np.array(draw(rows)), np.array(draw(rows))
 
 
+def _reference(metric, a, b):
+    """The Lp distance as a plain NumPy expression over converted copies
+    (a second temporary per step, no ``out=``)."""
+    diff = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
+    if math.isinf(metric.p):
+        return float(diff.max(initial=0.0))
+    if metric.p == 1.0:
+        return float(diff.sum())
+    if metric.p == 2.0:
+        return float(np.sqrt(np.square(diff).sum()))
+    return float(np.power(np.power(diff, metric.p).sum(), 1.0 / metric.p))
+
+
 @pytest.mark.parametrize("metric", _LP_METRICS, ids=lambda m: m.name)
-class TestFloat64FastPath:
-    """``__call__`` on two float64 rows takes a fast path; every other
-    payload takes the generic one.  Both must agree bit for bit."""
+class TestInPlaceKernel:
+    """``__call__`` uses float64 rows as they are and computes in place;
+    it must agree bit for bit with the plain expression on every kind
+    of payload."""
 
     @settings(max_examples=150, deadline=None)
     @given(pair=_row_pairs())
-    def test_rows_equal_the_generic_path(self, metric, pair):
+    def test_rows_equal_the_reference(self, metric, pair):
         a, b = pair
-        fast = metric(a, b)
-        assert type(fast) is float
-        assert fast == metric(a.tolist(), b.tolist())
-        assert fast == metric(b, a)
+        got = metric(a, b)
+        assert type(got) is float
+        assert got == _reference(metric, a, b)
+        assert got == metric(a.tolist(), b.tolist())
+        assert got == metric(b, a)
 
     @settings(max_examples=60, deadline=None)
     @given(pair=_row_pairs())
@@ -141,7 +156,7 @@ class TestFloat64FastPath:
         wide[1, 1::2] = b
         view_a, view_b = wide[0, ::2], wide[1, 1::2]
         assert not view_a.flags.c_contiguous or len(a) <= 1
-        assert metric(view_a, view_b) == metric(a.tolist(), b.tolist())
+        assert metric(view_a, view_b) == _reference(metric, a, b)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -149,14 +164,27 @@ class TestFloat64FastPath:
         b=st.lists(st.integers(0, 255), min_size=12, max_size=12),
     )
     def test_int_arrays_and_lists_equal_float_rows(self, metric, a, b):
-        expected = metric(np.array(a, dtype=float), np.array(b, dtype=float))
+        expected = _reference(metric, a, b)
         for dtype in (np.int64, np.uint8):
             assert metric(np.array(a, dtype), np.array(b, dtype)) == expected
         assert metric(a, b) == expected
 
-    def test_shape_mismatch_raises_the_generic_error(self, metric):
-        with pytest.raises(ValueError) as from_rows:
-            metric(np.zeros(3), np.zeros(4))
-        with pytest.raises(ValueError) as from_lists:
-            metric([0.0] * 3, [0.0] * 4)
-        assert str(from_rows.value) == str(from_lists.value)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        b=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    )
+    def test_scalar_payloads_equal_the_reference(self, metric, a, b):
+        expected = _reference(metric, a, b)
+        assert metric(a, b) == expected
+        assert metric(np.float64(a), np.array(b)) == expected
+
+    def test_shape_mismatch_raises_for_every_payload_kind(self, metric):
+        for a, b in (
+            (np.zeros(3), np.zeros(4)),
+            ([0.0] * 3, [0.0] * 4),
+            (np.zeros(3, dtype=int), [0.0] * 4),
+        ):
+            with pytest.raises(ValueError, match=r"^dimension mismatch: "
+                               r"\(3,\) vs \(4,\)$"):
+                metric(a, b)
