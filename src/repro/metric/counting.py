@@ -50,11 +50,7 @@ class CountingMetric:
     def __call__(self, a: Any, b: Any) -> float:
         if a is b:
             return 0.0
-        tallies = self._tallies
-        try:
-            tallies.local.tally.count += 1
-        except AttributeError:  # first evaluation on this thread
-            tallies.register().count += 1
+        self._tallies.mine().count += 1
         return self.inner(a, b)
 
     def pairwise(

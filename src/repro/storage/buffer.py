@@ -103,11 +103,7 @@ class LRUBuffer:
     # ------------------------------------------------------------------
     def get(self, page_id: int) -> Page:
         """Read a page through the buffer (logical read)."""
-        tallies = self._tallies
-        try:
-            stats = tallies.local.tally
-        except AttributeError:  # first access on this thread
-            stats = tallies.register()
+        stats = self._tallies.mine()
         with self._lock:
             stats.logical_reads += 1
             page = self._frames.get(page_id)
@@ -149,11 +145,7 @@ class LRUBuffer:
         fault accounting — the paper charges faults, not write-backs)
         when evicted or when :meth:`flush` is called.
         """
-        tallies = self._tallies
-        try:
-            stats = tallies.local.tally
-        except AttributeError:  # first access on this thread
-            stats = tallies.register()
+        stats = self._tallies.mine()
         with self._lock:
             stats.logical_writes += 1
             page.dirty = True

@@ -107,9 +107,7 @@ class ThreadTallies(Generic[T]):
 
     A tally is any object with ``merge(other)``, ``reset()`` and
     ``delta_since(earlier)``, as :class:`IOStats` has; ``new()`` makes
-    an empty one.  The caller's tally is ``local.tally``: hot paths
-    read it directly and call :meth:`register` when the attribute is
-    missing; other code calls :meth:`mine`.
+    an empty one.  :meth:`mine` is the caller's tally.
 
     Single-threaded (the default) there is one tally, and :meth:`total`
     is that live object.  After :meth:`make_thread_safe` every thread
@@ -124,7 +122,7 @@ class ThreadTallies(Generic[T]):
 
     def __init__(self, new: Callable[[], T]) -> None:
         self._new = new
-        self.local: Any = SimpleNamespace(tally=new())
+        self._local: Any = SimpleNamespace(tally=new())
         self._threaded = False
         self._lock = threading.Lock()
         self._live: List[Tuple[threading.Thread, T]] = []
@@ -135,11 +133,11 @@ class ThreadTallies(Generic[T]):
         """Give every thread its own tally (idempotent).  The counts
         made so far stay in the total."""
         if not self._threaded:
-            self._retired.merge(self.local.tally)
-            self.local = threading.local()
+            self._retired.merge(self._local.tally)
+            self._local = threading.local()
             self._threaded = True
 
-    def register(self) -> T:
+    def _register(self) -> T:
         """Give the calling thread a fresh tally and return it."""
         tally = self._new()
         me = threading.current_thread()
@@ -152,15 +150,15 @@ class ThreadTallies(Generic[T]):
                     self._retired.merge(other)
             live.append((me, tally))
             self._live = live
-        self.local.tally = tally
+        self._local.tally = tally
         return tally
 
     def mine(self) -> T:
         """The calling thread's tally (the only one, single-threaded)."""
         try:
-            return self.local.tally
+            return self._local.tally
         except AttributeError:  # first count on this thread
-            return self.register()
+            return self._register()
 
     def _sum(self) -> T:
         out = self._new()
@@ -173,13 +171,13 @@ class ThreadTallies(Generic[T]):
     def total(self) -> T:
         """Counts since the last :meth:`reset`, over all threads."""
         if not self._threaded:
-            return self.local.tally
+            return self._local.tally
         return self._sum().delta_since(self._base)
 
     def reset(self) -> None:
         """Zero :meth:`total`; per-thread tallies keep growing."""
         if not self._threaded:
-            self.local.tally.reset()
+            self._local.tally.reset()
         else:
             self._base = self._sum()
 
