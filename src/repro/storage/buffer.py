@@ -81,7 +81,9 @@ class LRUBuffer:
         """I/O counters since the last :meth:`reset_stats`, all threads.
 
         Single-threaded this is the live tally; in thread-safe mode a
-        new object summing every thread's tally.
+        new object summing every thread's tally, which later accesses
+        do not update.  Read ``stats`` again after an action; do not
+        keep a reference to it.
         """
         return self._tallies.total()
 

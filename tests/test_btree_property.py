@@ -116,6 +116,7 @@ def test_update_many_matches_model(ops, order, picks):
 
     tree.update_many(keys, lambda key, value: value.append(key))
 
+    stats = tree.buffer.stats
     walked = where[keys[-1]] - where[keys[0]] if keys else 0
     assert stats.logical_reads - reads == (tree.height + walked if keys else 0)
     assert stats.logical_writes - writes == len({where[k] for k in keys})

@@ -138,13 +138,13 @@ class TestGhostQueryIsReadOnly:
         rng = np.random.default_rng(10)
         window.append(rng.random(3))  # 0 expires, stays pinned (ghost)
         assert 0 in engine.tree and 0 not in window.live_ids
-        stats = engine.buffers.index_buffer.stats
-        writes = stats.logical_writes
-        allocated = stats.pages_allocated
+        buffer = engine.buffers.index_buffer
+        writes = buffer.stats.logical_writes
+        allocated = buffer.stats.pages_allocated
         tree_size = len(engine.tree)
         window.top_k(window.live_ids[:2], 4)
-        assert stats.logical_writes == writes
-        assert stats.pages_allocated == allocated
+        assert buffer.stats.logical_writes == writes
+        assert buffer.stats.pages_allocated == allocated
         assert len(engine.tree) == tree_size
 
     def test_ghost_query_reads_but_never_writes_many_times(self):
@@ -154,11 +154,11 @@ class TestGhostQueryIsReadOnly:
         rng = np.random.default_rng(11)
         window.append(rng.random(3))
         window.append(rng.random(3))  # both 0 and 1 are ghosts now
-        stats = engine.buffers.index_buffer.stats
-        writes = stats.logical_writes
+        buffer = engine.buffers.index_buffer
+        writes = buffer.stats.logical_writes
         for _ in range(5):
             window.top_k(window.live_ids[:2], 3)
-        assert stats.logical_writes == writes
+        assert buffer.stats.logical_writes == writes
         engine.tree.check_invariants()
 
 
