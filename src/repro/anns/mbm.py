@@ -71,12 +71,18 @@ class AggregateNNCursor:
 
     def _push_node(self, page_id: int) -> None:
         node: MTreeNode = self.tree.buffer.get(page_id).payload
-        for entry in node.entries:
+        skip = self.skip
+        entries = [
+            entry
+            for entry in node.entries
+            if isinstance(entry, RoutingEntry) or entry.object_id not in skip
+        ]
+        # one batch per query object for the whole node.
+        vectors = self.vectors.vectors([entry.object_id for entry in entries])
+        for entry, vec in zip(entries, vectors):
             if isinstance(entry, RoutingEntry):
-                rvec = self.vectors.vector(entry.object_id)
                 amindist = sum(
-                    safe_lower_bound(d - entry.covering_radius)
-                    for d in rvec
+                    safe_lower_bound(d - entry.covering_radius) for d in vec
                 )
                 heapq.heappush(
                     self._heap,
@@ -84,12 +90,9 @@ class AggregateNNCursor:
                      entry.child_page_id),
                 )
             else:
-                if entry.object_id in self.skip:
-                    continue
-                adist = sum(self.vectors.vector(entry.object_id))
                 heapq.heappush(
                     self._heap,
-                    (adist, _KIND_OBJECT, next(self._counter),
+                    (sum(vec), _KIND_OBJECT, next(self._counter),
                      entry.object_id),
                 )
 

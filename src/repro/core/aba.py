@@ -98,15 +98,13 @@ class ABA(TopKAlgorithm):
                 # lines 8-17: exact scoring of every candidate.
                 if matrix is None:
                     matrix = DominanceMatrix(vectors, universe)
-                best_id = -1
-                best_score = -1
                 with trace.span("aba.score", category="algo") as stage:
-                    for object_id in sorted(candidates):
-                        score = matrix.score(object_id)
-                        ctx.stats.exact_score_computations += 1
-                        if score > best_score:
-                            best_score = score
-                            best_id = object_id
+                    # the winner is the first maximum in id order.
+                    ranked = sorted(candidates)
+                    scores = matrix.scores(ranked)
+                    ctx.stats.exact_score_computations += len(ranked)
+                    best = int(scores.argmax())
+                    best_id, best_score = ranked[best], int(scores[best])
                     if ex is not None:
                         explain.close_stage(
                             stage,

@@ -10,12 +10,14 @@ dominates.
 The :class:`DistanceVectorSource` caches distance vectors per object so
 each algorithm pays for a vector at most once per query execution —
 mirroring how the C++ implementations memoize query-object distances in
-the ``AuxB+``-tree.
+the ``AuxB+``-tree.  :class:`DominanceMatrix` scores a whole candidate
+set against the universe in one pass of :func:`dominance_rows`, the
+kernel the standing-query maintainer's full rescore also runs on.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +46,14 @@ def equivalent_vectors(a: Sequence[float], b: Sequence[float]) -> bool:
 class DistanceVectorSource:
     """Caches each object's distance vector with respect to ``Q``.
 
+    Every coordinate is evaluated as ``d(q_j, o)``: the query object is
+    the source.  On the shortest-path metric a distance is a Dijkstra
+    run from its first argument unless a cached row answers it, so a
+    whole query set costs at most ``m`` runs, whose rows then stay
+    cached for the rest of the query.  For the Lp family the values
+    are bit-identical to ``d(o, q_j)``: ``|a - b|`` is exact under IEEE
+    negation.
+
     Parameters
     ----------
     space:
@@ -67,19 +77,41 @@ class DistanceVectorSource:
     def vector(self, object_id: int) -> Tuple[float, ...]:
         """The (cached) distance vector of one object.
 
-        A cache miss evaluates the ``m`` coordinates per pair: the
-        batch width here is only ``m`` (2-8 in every paper workload),
-        too narrow to amortise the batched kernel's dispatch cost —
-        unlike the node scans, where batches are node-capacity wide.
-        Either path produces bit-identical distances and counts.
+        A cache miss evaluates the ``m`` coordinates per pair: a batch
+        of one object is only ``m`` wide (2-8 in every paper workload),
+        too narrow to amortise the batched kernel's dispatch cost.
+        Callers holding a whole node or candidate set use
+        :meth:`vectors` instead.
         """
         vec = self._cache.get(object_id)
         if vec is None:
             vec = tuple(
-                self.space.distance(object_id, q) for q in self.query_ids
+                self.space.distance(q, object_id) for q in self.query_ids
             )
             self._cache[object_id] = vec
         return vec
+
+    def vectors(self, object_ids: Sequence[int]) -> List[Tuple[float, ...]]:
+        """``[self.vector(i) for i in object_ids]``, set-at-a-time.
+
+        The missing vectors are computed along the object axis: one
+        ``space.pairwise(q_j, missing)`` call per query object, each as
+        wide as the node or candidate set.  Distances and
+        :class:`~repro.metric.counting.CountingMetric` counts are
+        bit-identical to the per-object path; only the order of the
+        evaluations (query-major instead of object-major) differs.
+        """
+        cache = self._cache
+        missing = [i for i in dict.fromkeys(object_ids) if i not in cache]
+        if missing:
+            columns = [
+                self.space.pairwise(q, missing).tolist()
+                for q in self.query_ids
+            ]
+            rows = zip(*columns) if columns else [()] * len(missing)
+            for object_id, vec in zip(missing, rows):
+                cache[object_id] = vec
+        return [cache[i] for i in object_ids]
 
     def put(self, object_id: int, vector: Tuple[float, ...]) -> None:
         """Install a vector computed elsewhere (e.g. by a NN cursor)."""
@@ -191,6 +223,37 @@ class DominatorSet:
         return list(self._vectors)
 
 
+#: boolean cells per ``(rows, n)`` mask in :func:`dominance_rows`; a
+#: chunk holds about a megabyte per mask at any universe size.
+_MASK_CELLS = 1 << 20
+
+
+def dominance_rows(
+    rows: np.ndarray, matrix: np.ndarray
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Dominance of every row over every matrix row, chunk by chunk.
+
+    Yields ``(start, dom)`` where ``dom[i, c]`` is True iff
+    ``rows[start + i]`` dominates ``matrix[c]`` (Definition 3).  Both
+    arguments are ``(count, m)`` float arrays.  Each chunk is evaluated
+    one coordinate at a time on 2-D ``(chunk, n)`` masks instead of a
+    ``(chunk, n, m)`` broadcast; the caller may modify ``dom`` in place.
+    """
+    n, m = matrix.shape
+    step = max(1, _MASK_CELLS // max(n, 1))
+    for start in range(0, len(rows), step):
+        chunk = rows[start : start + step]
+        le = np.ones((len(chunk), n), dtype=bool)
+        lt = np.zeros((len(chunk), n), dtype=bool)
+        cmp = np.empty((len(chunk), n), dtype=bool)
+        for j in range(m):
+            mine, theirs = chunk[:, j, None], matrix[None, :, j]
+            le &= np.less_equal(mine, theirs, out=cmp)
+            lt |= np.less(mine, theirs, out=cmp)
+        le &= lt
+        yield start, le
+
+
 class DominanceMatrix:
     """Vectorized domination-score evaluation over a fixed universe.
 
@@ -198,10 +261,11 @@ class DominanceMatrix:
     after round (Algorithm 1 lines 5-9, Algorithm 2 lines 10-17).  The
     semantics are plain pairwise comparisons; this helper evaluates
     them as numpy array operations over the universe's distance-vector
-    matrix, which keeps the pure-Python reproduction tractable at
-    benchmark cardinalities without changing any count the paper
-    reports (distance computations happen in the
-    :class:`DistanceVectorSource` exactly as before).
+    matrix, a whole candidate set per call (:meth:`scores`), which
+    keeps the pure-Python reproduction tractable at benchmark
+    cardinalities without changing any count the paper reports
+    (distance computations happen in the :class:`DistanceVectorSource`
+    exactly as before).
 
     Rows for removed objects can be masked out; scores over the masked
     universe equal scores over the full one for the paper's algorithms
@@ -217,24 +281,44 @@ class DominanceMatrix:
         self.ids = list(universe)
         self._row_of = {obj: i for i, obj in enumerate(self.ids)}
         self._matrix = np.asarray(
-            [source.vector(obj) for obj in self.ids], dtype=float
-        )
+            source.vectors(self.ids), dtype=float
+        ).reshape(len(self.ids), source.m)
         self._active = np.ones(len(self.ids), dtype=bool)
 
     def deactivate(self, object_id: int) -> None:
         """Mask an object out of the universe (after it is reported)."""
         self._active[self._row_of[object_id]] = False
 
+    def scores(self, object_ids: Sequence[int]) -> np.ndarray:
+        """``dom(i)`` over the active universe for every id, in order.
+
+        Ids outside the universe are scored against it too (their
+        vectors come from the source).  An id never counts itself.
+        Returns an int64 array as long as ``object_ids``.
+        """
+        ids = list(object_ids)
+        out = np.zeros(len(ids), dtype=np.int64)
+        rows = np.asarray(self.source.vectors(ids), dtype=float).reshape(
+            len(ids), self.source.m
+        )
+        own = np.fromiter(
+            (self._row_of.get(i, -1) for i in ids), dtype=np.intp, count=len(ids)
+        )
+        for start, dom in dominance_rows(rows, self._matrix):
+            dom &= self._active
+            chunk_own = own[start : start + len(dom)]
+            inside = np.flatnonzero(chunk_own >= 0)
+            dom[inside, chunk_own[inside]] = False
+            out[start : start + len(dom)] = dom.sum(axis=1)
+        return out
+
     def score(self, object_id: int) -> int:
-        """``dom(object_id)`` over the active universe."""
-        vec = np.asarray(self.source.vector(object_id), dtype=float)
-        le = (vec <= self._matrix).all(axis=1)
-        lt = (vec < self._matrix).any(axis=1)
-        dominated = le & lt & self._active
-        row = self._row_of.get(object_id)
-        if row is not None:
-            dominated[row] = False
-        return int(dominated.sum())
+        """``dom(object_id)`` over the active universe.
+
+        One-id form of :meth:`scores`; the algorithms score whole
+        candidate sets, and perfbench's layer tracer names this method.
+        """
+        return int(self.scores((object_id,))[0])
 
 
 # ----------------------------------------------------------------------

@@ -80,17 +80,13 @@ class SBA(TopKAlgorithm):
                 round_span.set("skyline_size", len(skyline))
                 if matrix is None:
                     matrix = DominanceMatrix(vectors, universe)
-                best_id = -1
-                best_score = -1
                 with trace.span("sba.score", category="algo") as stage:
-                    for object_id in skyline:
-                        score = matrix.score(object_id)
-                        ctx.stats.exact_score_computations += 1
-                        if score > best_score or (
-                            score == best_score and object_id < best_id
-                        ):
-                            best_score = score
-                            best_id = object_id
+                    # the winner is the first maximum in id order.
+                    ranked = sorted(skyline)
+                    scores = matrix.scores(ranked)
+                    ctx.stats.exact_score_computations += len(ranked)
+                    best = int(scores.argmax())
+                    best_id, best_score = ranked[best], int(scores[best])
                     if ex is not None:
                         explain.close_stage(
                             stage,

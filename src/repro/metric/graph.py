@@ -194,14 +194,17 @@ class ShortestPathMetric:
     """Shortest-path distance between graph nodes as a metric.
 
     Payloads are node ids; an id outside ``0..num_nodes-1`` (negative
-    ones included) raises :class:`IndexError`.  A bounded LRU cache of
-    full single-source distance rows makes repeated evaluations from
-    the same source cheap — the common pattern in our algorithms, where
-    each of the ``m`` query objects issues a long stream of distance
-    evaluations.  Set ``cache_sources=0`` to disable caching (every
-    call runs a fresh early-terminating Dijkstra), which the benchmarks
-    use to model a truly expensive metric.  Changing the graph after
-    first use drops the cached rows.
+    ones included) raises :class:`IndexError`.  ``self(a, b)`` reads
+    ``a``'s cached row, else ``b``'s, else runs a full Dijkstra from
+    ``a`` and caches its row; the bounded LRU cache holds
+    ``cache_sources`` rows.  The algorithms name the query object as
+    the first argument — index scans, range queries and every
+    distance vector (:class:`~repro.core.dominance.DistanceVectorSource`)
+    — so a query set of ``m`` objects costs at most ``m`` runs while
+    the cache holds ``m`` rows.  Set ``cache_sources=0`` to disable
+    caching (every call runs a fresh early-terminating Dijkstra),
+    which the benchmarks use to model a truly expensive metric.
+    Changing the graph after first use drops the cached rows.
 
     Unreachable node pairs get ``disconnected_distance`` (default:
     ``inf``).

@@ -4,8 +4,9 @@ The comparator exploits a split the paper's cost model hands us for
 free: the evaluation's three cost axes (Section 5) divide into
 
 * **deterministic counters** — distance computations, page faults,
-  buffer hits, exact-score computations.  Under fixed seeds and a
-  cold per-case buffer these are pure functions of the code, so the
+  buffer hits, exact-score computations (and, on the shortest-path
+  metric, Dijkstra runs).  Under fixed seeds and a cold per-case
+  buffer and metric these are pure functions of the code, so the
   gate compares them **exactly, zero tolerance**: a single extra
   distance computation is a real behavioural change (a pruning bound
   loosened, a traversal order regressed) and must either be fixed or

@@ -12,10 +12,12 @@ suites ship:
   that grid: ``repro-bench figures`` runs it filtered to the chosen
   exhibits, and EXPERIMENTS.md renders from a recorded run of it
   (:mod:`repro.bench.figures`).  A case sample averages
-  ``profile.repeats`` seeded query sets, each run on a cold buffer, so
-  its distance computations, page faults, buffer hits and exact-score
-  computations are deterministic under the profile's seed — the
-  property the gate's zero-tolerance counter comparison relies on.
+  ``profile.repeats`` seeded query sets, each run on a cold buffer and
+  a cold metric, so its distance computations, page faults, buffer
+  hits, exact-score computations and the shortest-path metric's
+  Dijkstra runs (0 off CAL) are deterministic under the profile's
+  seed — the property the gate's zero-tolerance counter comparison
+  relies on.
 * ``streaming`` — per-update cost of a standing ``MSD(Q, k)`` over an
   arrival-rate × window-size grid, incremental repair
   (:class:`repro.streaming.continuous.ContinuousTopK`) against
@@ -23,7 +25,8 @@ suites ship:
   distance/page counters are gate-exact like ``core``'s.
 * ``backends`` — the paper's m-sweep plus a B²MS² skyline cell per
   registered index backend (``repro.index.available_backends``),
-  capability-filtered.  Gate-exact counters; the skyline cells also
+  capability-filtered.  Gate-exact counters, Dijkstra runs included;
+  the skyline cells also
   pin each backend's hyper-ring prune count, the PM-tree's headline
   saving.
 
@@ -75,6 +78,13 @@ class BenchCase:
     meta: Dict[str, Any] = field(default_factory=dict)
 
 
+def _dijkstra_runs(engine: Any) -> int:
+    """Dijkstra runs of the engine's shortest-path metric so far (0 for
+    every other metric).  The runs are what a CAL distance actually
+    costs; the cold reset before each case makes the delta exact."""
+    return getattr(engine.counting_metric.inner, "dijkstra_runs", 0)
+
+
 # ----------------------------------------------------------------------
 # core: the paper's figure/table grid, one case per cell
 # ----------------------------------------------------------------------
@@ -108,6 +118,7 @@ def _core_cases(
             seed_parts = ("core", profile.seed, dataset, m, k, round(c, 4))
             total = QueryStats()
             wall = 0.0
+            dijkstra_runs = 0
             for rep in range(profile.repeats):
                 # the first set keeps the seed of a single-set cell, so
                 # a one-set profile (smoke) draws exactly that set.
@@ -125,6 +136,7 @@ def _core_cases(
                 # never on which cell ran before this one.
                 engine.buffers.clear()
                 engine.reset_cost_counters()
+                runs_before = _dijkstra_runs(engine)
                 started = clock()
                 if os.environ.get("REPRO_BENCH_EXPLAIN"):
                     # CI's explain-enabled gate cell: the deterministic
@@ -139,6 +151,7 @@ def _core_cases(
                         query_ids, k, algorithm=algorithm
                     )
                 wall += clock() - started
+                dijkstra_runs += _dijkstra_runs(engine) - runs_before
                 total.merge(stats)
             # one sample is the average over the cell's query sets, as
             # the paper reports "averages from 20 different executions".
@@ -152,6 +165,7 @@ def _core_cases(
                     "exact_score_computations": (
                         stats.exact_score_computations
                     ),
+                    "dijkstra_runs": round(dijkstra_runs / profile.repeats),
                 },
                 metrics={
                     "cpu_seconds": stats.cpu_seconds,
@@ -372,11 +386,13 @@ def _backends_cases(
             query_ids = query_ids_for(engine, dataset, m)
             engine.buffers.clear()
             engine.reset_cost_counters()
+            runs_before = _dijkstra_runs(engine)
             started = clock()
             results, stats = engine.top_k_dominating(
                 query_ids, DEFAULT_K, algorithm=algorithm
             )
             wall = clock() - started
+            dijkstra_runs = _dijkstra_runs(engine) - runs_before
             return CaseSample(
                 wall_seconds=wall,
                 counters={
@@ -386,6 +402,7 @@ def _backends_cases(
                     "exact_score_computations": (
                         stats.exact_score_computations
                     ),
+                    "dijkstra_runs": dijkstra_runs,
                 },
                 metrics={
                     "cpu_seconds": stats.cpu_seconds,
@@ -420,6 +437,7 @@ def _backends_cases(
             engine.reset_cost_counters()
             metric = engine.counting_metric
             distances_before = metric.count
+            runs_before = _dijkstra_runs(engine)
             io_before = engine.buffers.combined_io()
 
             def body():
@@ -446,6 +464,7 @@ def _backends_cases(
                     "page_faults": io.page_faults,
                     "buffer_hits": io.buffer_hits,
                     "hyper_ring_prunes": ring_prunes,
+                    "dijkstra_runs": _dijkstra_runs(engine) - runs_before,
                 },
                 metrics={"skyline_size": len(skyline)},
             )

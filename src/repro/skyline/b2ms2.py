@@ -109,21 +109,33 @@ def metric_skyline_cursor(
             node = tree.buffer.get(page_id).payload
         nonlocal ring_pruned
         node_ring_prunes = 0
+        # first pass: the hidden and hyper-ring checks.  The skyline
+        # does not change inside one call, so checking every entry
+        # before computing any vector prunes the same entries.
+        survivors = []
         for entry in node.entries:
-            if isinstance(entry, RoutingEntry):
+            routing = isinstance(entry, RoutingEntry)
+            if not routing and entry.object_id in hidden:
+                continue
+            ring = None
+            if flt is not None:
                 ring = (
                     flt.node_bounds(entry.child_page_id)
-                    if flt is not None
-                    else None
+                    if routing
+                    else flt.object_bounds(entry.object_id)
                 )
-                if ring is not None and skyline.dominates(ring):
-                    # pruned before computing the router's distance
-                    # vector (m distances saved) or visiting the
-                    # subtree.
-                    node_ring_prunes += 1
-                    continue
-                rvec = source.vector(entry.object_id)
-                bounds = _node_lower_bounds(rvec, entry.covering_radius)
+            if ring is not None and skyline.dominates(ring):
+                # a found skyline vector dominates the entry's ring
+                # bounds, hence every object under it: dropped without
+                # its distance vector (m distances saved) or a visit.
+                node_ring_prunes += 1
+                continue
+            survivors.append((entry, ring))
+        # second pass: one batch per query object for the survivors.
+        vectors = source.vectors([entry.object_id for entry, _ in survivors])
+        for (entry, ring), vec in zip(survivors, vectors):
+            if isinstance(entry, RoutingEntry):
+                bounds = _node_lower_bounds(vec, entry.covering_radius)
                 if ring is not None:
                     # coordinate-wise max of two valid lower bounds is
                     # a valid (tighter) lower bound: better heap order
@@ -138,24 +150,10 @@ def metric_skyline_cursor(
                      entry.child_page_id, bounds, level + 1),
                 )
             else:
-                if entry.object_id in hidden:
-                    continue
-                ring = (
-                    flt.object_bounds(entry.object_id)
-                    if flt is not None
-                    else None
-                )
-                if ring is not None and skyline.dominates(ring):
-                    # a found skyline vector dominates the object's
-                    # ring bounds, hence the object itself — dropped
-                    # without computing its distance vector.
-                    node_ring_prunes += 1
-                    continue
-                ovec = source.vector(entry.object_id)
                 heapq.heappush(
                     heap,
-                    (sum(ovec), _KIND_OBJECT, next(counter),
-                     entry.object_id, ovec, level),
+                    (sum(vec), _KIND_OBJECT, next(counter),
+                     entry.object_id, vec, level),
                 )
         ring_pruned += node_ring_prunes
         if ex is not None:

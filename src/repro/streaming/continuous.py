@@ -47,15 +47,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.aux_index import AuxBPlusTree, AuxRecord
+from repro.core.dominance import dominance_rows
 from repro.core.engine import ChangeEvent, TopKDominatingEngine
 from repro.core.progressive import ResultItem
 from repro.obs import explain as explain_mod
 from repro.obs import trace
 from repro.storage.stats import QueryStats, Stopwatch
-
-#: rows scored per chunk during bootstrap / full recompute; bounds the
-#: (chunk x n) boolean intermediates at a few megabytes.
-_RESCORE_CHUNK = 512
 
 #: distinct aux-index namespaces for concurrently-live maintainers.
 _MAINTAINER_IDS = itertools.count()
@@ -579,19 +576,8 @@ class ContinuousTopK:
         mat = self._matrix[:n]
         scores = np.zeros(n, dtype=np.int64)
         dominated_by = np.zeros(n, dtype=np.int64)
-        for start in range(0, n, _RESCORE_CHUNK):
-            chunk = mat[start : start + _RESCORE_CHUNK]
-            # Definition 3 one coordinate at a time: 2-D masks instead
-            # of a (chunk, n, m) broadcast.
-            le = np.ones((len(chunk), n), dtype=bool)
-            lt = np.zeros((len(chunk), n), dtype=bool)
-            cmp = np.empty((len(chunk), n), dtype=bool)
-            for j in range(mat.shape[1]):
-                mine, theirs = chunk[:, j, None], mat[None, :, j]
-                le &= np.less_equal(mine, theirs, out=cmp)
-                lt |= np.less(mine, theirs, out=cmp)
-            dom = le & lt
-            scores[start : start + _RESCORE_CHUNK] = dom.sum(axis=1)
+        for start, dom in dominance_rows(mat, mat):
+            scores[start : start + len(dom)] = dom.sum(axis=1)
             dominated_by += dom.sum(axis=0)
         self._scores[:n] = scores
         self._dominated_by[:n] = dominated_by

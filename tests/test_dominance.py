@@ -1,9 +1,12 @@
 """Dominance relation, scores and the vectorized matrix."""
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro import ManhattanMetric, MetricSpace
+from repro.core.brute_force import brute_force_scores
 from repro.core.dominance import (
     DistanceVectorSource,
     DominanceMatrix,
@@ -13,6 +16,9 @@ from repro.core.dominance import (
     equivalent,
     equivalent_vectors,
 )
+from repro.datasets.roadnet import road_network
+from repro.metric.counting import CountingMetric
+from repro.metric.graph import ShortestPathMetric
 
 from tests.conftest import make_vector_space
 
@@ -115,6 +121,129 @@ class TestDistanceVectorSource:
             and dominates_vectors(source.vector(0), source.vector(other))
         )
         assert score == manual
+
+
+def _twin_spaces(kind):
+    """Two identical counted spaces (one per evaluation path) and Q."""
+
+    def build():
+        if kind == "graph":
+            _space, graph = road_network(n=150, seed=4)
+            metric = ShortestPathMetric(graph, cache_sources=0)
+            return MetricSpace(list(range(150)), CountingMetric(metric))
+        inner = ManhattanMetric() if kind == "l1" else None
+        return make_vector_space(n=150, dims=3, seed=4, metric=inner)
+
+    return build(), build(), [3, 77, 140]
+
+
+class TestVectorsBatch:
+    @pytest.mark.parametrize("kind", ["l1", "l2", "graph"])
+    def test_equals_per_object_vectors_bit_for_bit(self, kind):
+        batch_space, loop_space, queries = _twin_spaces(kind)
+        batched = DistanceVectorSource(batch_space, queries)
+        looped = DistanceVectorSource(loop_space, queries)
+        # some ids cached beforehand, on both sides alike.
+        for object_id in (5, 9, 140):
+            batched.vector(object_id)
+            looped.vector(object_id)
+        # duplicates, a query object, cached ids and fresh ids.
+        ids = [9, 12, 77, 12, 5, 33, 140, 149, 0, 33, 77]
+        got = batched.vectors(ids)
+        want = [looped.vector(i) for i in ids]
+        assert [[x.hex() for x in v] for v in got] == [
+            [x.hex() for x in v] for v in want
+        ]
+        assert batch_space.metric.count == loop_space.metric.count
+        assert batched.vectors([]) == []
+
+    def test_one_batch_per_query_object(self):
+        space = make_vector_space(n=40, dims=2, seed=5)
+        source = DistanceVectorSource(space, [1, 2, 3])
+        source.vectors(list(range(10, 30)))
+        assert space.metric.batches == 3
+        assert all(source.known(i) for i in range(10, 30))
+
+    def test_empty_query_set_gives_empty_vectors(self):
+        space = make_vector_space(n=10, dims=2, seed=5)
+        source = DistanceVectorSource(space, [])
+        assert source.vectors([1, 2, 1]) == [(), (), ()]
+        assert source.vector(3) == ()
+
+    def test_query_object_is_the_source(self):
+        calls = []
+
+        class Recording:
+            name = "recording"
+
+            def __call__(self, a, b):
+                calls.append((a, b))
+                return abs(a - b)
+
+        space = MetricSpace(list(range(10)), Recording())
+        source = DistanceVectorSource(space, [7, 2])
+        source.vector(4)
+        source.vectors([5, 6])
+        assert calls == [(7, 4), (2, 4), (7, 5), (7, 6), (2, 5), (2, 6)]
+
+
+def _expected_scores(space, queries, active, ids):
+    """``dom(i)`` over the active universe for every id, by brute force."""
+    out = []
+    for object_id in ids:
+        universe = list(active)
+        if object_id not in active:
+            universe.append(object_id)
+        out.append(brute_force_scores(space, queries, universe)[object_id])
+    return out
+
+
+class TestDominanceMatrixScores:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_brute_force_over_active_universe(self, seed):
+        # an integer grid under L1: many ties and equivalent vectors.
+        space = make_vector_space(
+            n=80, dims=2, seed=seed, grid=3, metric=ManhattanMetric()
+        )
+        queries = [0, 40, 79]
+        universe = list(range(60))
+        matrix = DominanceMatrix(DistanceVectorSource(space, queries), universe)
+        removed = [universe[i] for i in (4, 17, 33, 50)]
+        for object_id in removed:
+            matrix.deactivate(object_id)
+        active = [i for i in universe if i not in removed]
+        # active rows, deactivated rows and ids outside the universe.
+        ids = [2, 17, 61, 79, 4, 2, 70, 33]
+        got = matrix.scores(ids)
+        assert got.dtype == np.int64
+        assert got.tolist() == _expected_scores(space, queries, active, ids)
+        assert matrix.scores(sorted(universe)).tolist() == _expected_scores(
+            space, queries, active, sorted(universe)
+        )
+
+    def test_empty_ids(self):
+        space = make_vector_space(n=20, dims=2, seed=3)
+        matrix = DominanceMatrix(
+            DistanceVectorSource(space, [0, 10]), list(space.object_ids)
+        )
+        assert matrix.scores([]).tolist() == []
+
+    def test_spans_several_chunks(self, monkeypatch):
+        import repro.core.dominance as dominance
+
+        # seven rows per chunk over a 45-object universe.
+        monkeypatch.setattr(dominance, "_MASK_CELLS", 7 * 45)
+        space = make_vector_space(n=45, dims=2, seed=6, grid=4)
+        queries = [1, 30]
+        matrix = DominanceMatrix(
+            DistanceVectorSource(space, queries), list(space.object_ids)
+        )
+        matrix.deactivate(8)
+        ids = list(range(44, -1, -1))
+        active = [i for i in ids if i != 8]
+        assert matrix.scores(ids).tolist() == _expected_scores(
+            space, queries, active, ids
+        )
 
 
 class TestDominanceMatrix:

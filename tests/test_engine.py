@@ -13,6 +13,7 @@ from repro import (
     TopKDominatingEngine,
 )
 from repro.datasets import california
+from repro.datasets.roadnet import road_network
 from repro.metric.counting import CountingMetric
 from repro.metric.safety import safe_lower_bound
 
@@ -105,6 +106,21 @@ class TestMeasurement:
         fresh = cold_runs([])
         assert fresh > 0
         assert cold_runs([query, [1, 2, 3]]) == fresh
+
+    @pytest.mark.parametrize("algorithm", ["aba", "sba"])
+    @pytest.mark.parametrize("cache_sources", [4, 128])
+    def test_cold_query_runs_at_most_m_dijkstras(self, algorithm, cache_sources):
+        """Distance vectors are read from the query objects' rows: a
+        cold query set of m objects costs at most m graph searches."""
+        space, _graph = road_network(n=300, seed=3, cache_sources=cache_sources)
+        engine = TopKDominatingEngine(space)
+        query = [5, 60, 100, 250]
+        engine.reset_cost_counters()
+        graph_metric = engine.counting_metric.inner
+        before = graph_metric.dijkstra_runs
+        _results, stats = engine.top_k_dominating(query, 5, algorithm=algorithm)
+        assert stats.distance_computations > len(query)
+        assert graph_metric.dijkstra_runs - before <= len(query)
 
     def test_stats_are_per_query_deltas(self):
         engine = make_engine(n=100, seed=61)

@@ -1,5 +1,6 @@
 """The example scripts must run end-to-end and tell a true story."""
 
+import functools
 import pathlib
 import subprocess
 import sys
@@ -18,7 +19,10 @@ EXAMPLES = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
 def run_example(name: str) -> str:
+    """The script's stdout; each script runs once per session (a
+    failed run raises, is not cached, and fails every test using it)."""
     result = subprocess.run(
         [sys.executable, str(EXAMPLES_DIR / name)],
         capture_output=True,
