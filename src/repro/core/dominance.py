@@ -294,22 +294,17 @@ class DominanceMatrix:
         """``dom(i)`` over the active universe for every id, in order.
 
         Ids outside the universe are scored against it too (their
-        vectors come from the source).  An id never counts itself.
-        Returns an int64 array as long as ``object_ids``.
+        vectors come from the source).  An id never counts its own row:
+        no vector dominates itself, since Definition 3 needs a strict
+        coordinate.  Returns an int64 array as long as ``object_ids``.
         """
         ids = list(object_ids)
-        out = np.zeros(len(ids), dtype=np.int64)
         rows = np.asarray(self.source.vectors(ids), dtype=float).reshape(
             len(ids), self.source.m
         )
-        own = np.fromiter(
-            (self._row_of.get(i, -1) for i in ids), dtype=np.intp, count=len(ids)
-        )
+        out = np.zeros(len(ids), dtype=np.int64)
         for start, dom in dominance_rows(rows, self._matrix):
             dom &= self._active
-            chunk_own = own[start : start + len(dom)]
-            inside = np.flatnonzero(chunk_own >= 0)
-            dom[inside, chunk_own[inside]] = False
             out[start : start + len(dom)] = dom.sum(axis=1)
         return out
 
