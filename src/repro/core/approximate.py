@@ -123,7 +123,7 @@ class ApproximateTopK(TopKAlgorithm):
             if samples >= len(universe)
             else rng.sample(universe, samples)
         )
-        sample_vectors = [vectors.vector(x) for x in sample]
+        sample_vectors = vectors.vectors(sample)
 
         estimates: List[ResultItem] = []
         for candidate in candidates:

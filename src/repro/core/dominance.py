@@ -223,10 +223,11 @@ class DominatorSet:
         return list(self._vectors)
 
 
-#: boolean cells per ``(rows, n)`` mask in :func:`dominance_rows`: a
-#: quarter megabyte per mask at any universe size.  Megabyte masks
-#: raised the benchmark's peak RSS by 1.7 MB and ran no faster.
-_MASK_CELLS = 1 << 18
+#: boolean cells per ``(rows, n)`` mask in :func:`dominance_rows`: 64 KiB
+#: per mask at any universe size.  The chunk size does not change the
+#: kernel's speed, but larger masks raised the benchmark's peak RSS:
+#: cal-read read 64.6 MB with these, 69.6 MB with 256 KiB masks.
+_MASK_CELLS = 1 << 16
 
 
 def dominance_rows(
