@@ -140,7 +140,7 @@ def test_direct_maintainer_matches_oracle(n, k, seed, threshold, aux, ops):
             assert as_pairs(maintainer.result) == expected
             if aux:
                 for obj in maintainer.member_ids:
-                    assert maintainer.aux.record(obj).q_counter == (
+                    assert maintainer.aux.get(obj).q_counter == (
                         maintainer.score_of(obj)
                     )
     finally:
