@@ -96,7 +96,7 @@ class TestHeapMaintenance:
         _score, object_id, _exact = entry
         rec = run.aux.get(object_id)
         rec.discarded = True
-        run.aux.update(rec)
+        run.aux.add(rec)
         import heapq
 
         heapq.heappush(run._heap, (-999, 0, object_id, False))
