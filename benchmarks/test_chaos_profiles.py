@@ -90,14 +90,11 @@ def test_profile_error_budget(profile):
         assert snapshot["faults"]["counters"]["storage.retry"] > 0
     elif profile == "bad-sectors":
         assert snapshot["faults"]["events"] > 0
-    # flaky-network only injects RPC faults, which the single-engine
-    # service never exercises — its run just proves neutrality.
 
 
 def test_profiles_summary_table():
     """One side-by-side table of all profiles (the harness's raison
     d'être); numbers land in EXPERIMENTS.md."""
     print()
-    for profile in ("none", "low", "flaky-disk", "flaky-network",
-                    "bad-sectors"):
+    for profile in ("none", "low", "flaky-disk", "bad-sectors"):
         run_profile(profile)

@@ -1,30 +1,24 @@
 #!/usr/bin/env python3
 """Tour of the beyond-the-paper extensions.
 
-The paper's conclusions sketch two future directions — randomized
-approximation and distributed processing — and claim the algorithms
-only need an index with incremental nearest-neighbor search.  This
-example exercises all three:
+The paper's conclusions sketch randomized approximation as a future
+direction and claim the algorithms only need an index with incremental
+nearest-neighbor search.  This example exercises both:
 
 1. ``apx``   — sampling-based approximate answers with a Hoeffding
    accuracy knob;
-2. ``DistributedTopK`` — the data set partitioned across simulated
-   sites with a message-counting merge protocol;
-3. ``index="vptree"`` — PBA running unchanged on a VP-tree.
+2. ``index="vptree"`` — PBA running unchanged on a VP-tree.
 
 Run::
 
     python examples/extensions_tour.py
 """
 
-import random
-
 import numpy as np
 
 from repro.api import EuclideanMetric, MetricSpace, open_engine
 from repro.core.approximate import recall_against_exact, sample_size_for
 from repro.core.brute_force import brute_force_scores
-from repro.distributed import DistributedTopK
 
 
 def main() -> None:
@@ -72,24 +66,7 @@ def main() -> None:
         "approximate cost stays flat as n grows)"
     )
 
-    # --- 2. distributed processing ---------------------------------
-    print("\ndistributed execution (4 simulated sites):")
-    system = DistributedTopK(
-        MetricSpace(points, EuclideanMetric(), name="tour-dist"),
-        num_sites=4,
-        rng=random.Random(2),
-    )
-    results, stats = system.top_k(queries, 10)
-    same = [r.score for r in results] == [r.score for r in exact]
-    print(f"  same answer as centralized? {same}")
-    print(
-        f"  protocol: {stats.total_messages} messages "
-        f"({stats.skyline_requests} skyline, "
-        f"{stats.scoring_requests} scoring, "
-        f"{stats.removal_broadcasts} removals)"
-    )
-
-    # --- 3. index agnosticism ---------------------------------------
+    # --- 2. index agnosticism ---------------------------------------
     print("\nPBA on a VP-tree instead of the M-tree:")
     vp_engine = open_engine(
         MetricSpace(points, EuclideanMetric(), name="tour-vp"),

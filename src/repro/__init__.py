@@ -21,8 +21,8 @@ Public API highlights:
   data sets (UNI, FC, ZIL, CAL) and coverage-controlled query sets;
 * :mod:`repro.bench` — the harness regenerating the paper's
   Figures 4-8 and Tables 2-3;
-* :mod:`repro.faults` — seeded fault injection (page checksums,
-  retries, circuit breakers, degraded-mode distributed answers); see
+* :mod:`repro.faults` — seeded storage fault injection (page
+  checksums, retries with deterministic backoff, crash points); see
   ``docs/robustness.md``;
 * :mod:`repro.obs` — end-to-end query tracing with paper-cost
   attribution, a unified metrics registry (JSON + Prometheus), and

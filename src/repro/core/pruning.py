@@ -35,9 +35,11 @@ brute-force answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
-from repro.core.dominance import dominates_vectors
+# no longer called here, but the benchmark's tracer still wraps this
+# module attribute by name.
+from repro.core.dominance import dominates_vectors  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.aux_index import AuxRecord
@@ -126,18 +128,3 @@ def eph5_bound(info: ExactScoreInfo, lpos: Sequence[Optional[int]]) -> int:
         if info.lpos[j] > lpos[j]  # type: ignore[operator]
     )
     return info.score + info.eq + window + 1
-
-
-def dominated_by_any(
-    vector: Sequence[float],
-    dominators: List[Tuple[float, ...]],
-) -> bool:
-    """EPH1 / EPH2 / DH2 core test: is ``vector`` dominated by any of
-    the recorded pruning-relevant vectors?
-
-    The dominator list holds vectors of objects whose domination score
-    is known to be at most ``G + 1`` (the current k-th best and worse,
-    plus every pruned object): anything they dominate scores at most
-    ``G`` and is safely prunable.
-    """
-    return any(dominates_vectors(dv, vector) for dv in dominators)

@@ -6,28 +6,22 @@ component succeeds; this subsystem makes failure a first-class,
 *reproducible* input instead:
 
 * **typed faults** (``errors.py``) — transient vs permanent page
-  faults, checksum :class:`StorageCorruption`, RPC timeouts,
-  :class:`CircuitOpen` — each tagged ``layer`` and ``retryable``;
+  faults and checksum :class:`StorageCorruption`, each tagged
+  ``layer`` and ``retryable``;
 * **seeded injection** (``chaos.py``) — :class:`ChaosConfig` bundles
-  per-layer probabilities, :class:`FaultInjector` draws every decision
-  from per-layer seeded RNG streams and logs it, so a chaos run replays
+  storage fault probabilities, :class:`FaultInjector` draws every
+  decision from seeded RNG streams and logs it, so a chaos run replays
   byte-identically from its seed;
 * **retries** (``retry.py``) — capped exponential backoff with
   deterministic jitter, applied to transient storage faults by
-  :class:`~repro.storage.buffer.LRUBuffer` and to site calls by
-  :class:`~repro.distributed.rpc.SiteClient`;
-* **circuit breakers** (``breaker.py``) — per-site closed → open →
-  half-open breakers that convert a dead site into an immediate local
-  rejection, letting the coordinator answer in degraded mode;
+  :class:`~repro.storage.buffer.LRUBuffer`;
 * **checksums** (``checksum.py``) — CRC32 over each page's payload,
   stamped on write and verified on physical read whenever an injector
   is attached.
 
-See ``docs/robustness.md`` for the fault model and the degraded-mode
-coverage contract.
+See ``docs/robustness.md`` for the fault model.
 """
 
-from repro.faults.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.faults.chaos import (
     PROFILES,
     ChaosConfig,
@@ -45,12 +39,8 @@ from repro.faults.crashpoints import (
     sample_crash_points,
 )
 from repro.faults.errors import (
-    CircuitOpen,
     FaultError,
     PermanentPageError,
-    RpcFault,
-    RpcTimeout,
-    SiteUnavailable,
     StorageCorruption,
     StorageFault,
     TransientPageError,
@@ -58,24 +48,16 @@ from repro.faults.errors import (
 from repro.faults.retry import RetryPolicy, call_with_retry
 
 __all__ = [
-    "CLOSED",
     "CRASH_POINTS",
-    "HALF_OPEN",
-    "OPEN",
     "PROFILES",
     "ChaosConfig",
-    "CircuitBreaker",
-    "CircuitOpen",
     "CrashPlan",
     "FaultError",
     "FaultInjector",
     "FaultRecord",
     "PermanentPageError",
     "RetryPolicy",
-    "RpcFault",
-    "RpcTimeout",
     "SimulatedCrash",
-    "SiteUnavailable",
     "StorageCorruption",
     "StorageFault",
     "TransientPageError",

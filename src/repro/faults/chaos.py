@@ -1,18 +1,18 @@
 """Seeded, reproducible fault injection.
 
-:class:`ChaosConfig` is a frozen bundle of per-layer fault
-probabilities plus the recovery tunables (retry policy, breaker
-thresholds); :class:`FaultInjector` turns one config into decisions.
-Every decision is drawn from a per-layer :class:`random.Random` derived
-from ``seed``, and every injected fault (and every retry taken in
-response) is appended to an in-order log — so two runs of the same
+:class:`ChaosConfig` is a frozen bundle of storage fault
+probabilities plus the recovery tunables (retry policy, crash plan);
+:class:`FaultInjector` turns one config into decisions.  Every decision
+is drawn from a :class:`random.Random` stream derived from ``seed``,
+and every injected fault (and every retry taken in response) is
+appended to an in-order log — so two runs of the same
 workload with the same seed produce **byte-identical** fault sequences,
 retry counts and therefore results.  That reproducibility is the whole
 point: a chaos failure found in CI replays locally from its seed.
 
-Layer streams are independent: the storage stream advances only on
-physical page reads, the RPC stream only on site calls, so adding
-faults to one layer never perturbs the sequence seen by another.
+Streams are independent: the storage stream advances only on
+physical page reads and the jitter stream only on retry backoff, so
+one never perturbs the sequence seen by the other.
 """
 
 from __future__ import annotations
@@ -23,15 +23,9 @@ import time
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.faults.breaker import CircuitBreaker
 from repro.faults.checksum import CORRUPTION_MASK
 from repro.faults.crashpoints import CrashPlan, install_plan
-from repro.faults.errors import (
-    PermanentPageError,
-    RpcTimeout,
-    SiteUnavailable,
-    TransientPageError,
-)
+from repro.faults.errors import PermanentPageError, TransientPageError
 from repro.faults.retry import RetryPolicy
 from repro.obs import trace
 
@@ -40,9 +34,9 @@ from repro.obs import trace
 class ChaosConfig:
     """Fault probabilities and recovery tunables for one chaos run.
 
-    All probabilities are per-operation (per physical page read, per
-    site call) and default to 0 — a default config attached to a system
-    changes nothing except enabling page checksums.
+    All probabilities are per physical page read and default to 0 — a
+    default config attached to a system changes nothing except enabling
+    page checksums.
     """
 
     seed: int = 0
@@ -60,13 +54,7 @@ class ChaosConfig:
     storage_latency_p: float = 0.0
     storage_latency_seconds: float = 0.002
 
-    # rpc layer (per site call)
-    rpc_timeout_p: float = 0.0
-    rpc_fail_p: float = 0.0
-    rpc_latency_p: float = 0.0
-    rpc_latency_seconds: float = 0.002
-
-    # retry policy applied to transient faults in both layers
+    # retry policy applied to transient storage faults
     retry_max_attempts: int = 4
     retry_base_delay: float = 0.001
     retry_max_delay: float = 0.050
@@ -80,10 +68,6 @@ class ChaosConfig:
     crash_point: Optional[str] = None
     crash_hit: int = 1
     crash_mode: str = "kill"
-
-    # per-site circuit breaker
-    breaker_failure_threshold: int = 3
-    breaker_reset_timeout: float = 0.050
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -135,11 +119,10 @@ class ChaosConfig:
 PROFILES: Dict[str, Dict[str, Any]] = {
     # no faults at all: the control group every chaos run compares to.
     "none": {},
-    # the tier-1 smoke profile: rare transient faults everywhere, all
+    # the tier-1 smoke profile: rare transient read faults, all
     # absorbed by retries — results must equal the fault-free run.
     "low": {
         "read_transient_p": 0.01,
-        "rpc_timeout_p": 0.01,
     },
     # a disk with frequent transient read errors and occasional
     # latency spikes: retries absorb everything, throughput drops.
@@ -147,14 +130,6 @@ PROFILES: Dict[str, Dict[str, Any]] = {
         "read_transient_p": 0.10,
         "storage_latency_p": 0.05,
         "storage_latency_seconds": 0.001,
-    },
-    # a network that times out and drops calls: breakers trip, the
-    # coordinator degrades.
-    "flaky-network": {
-        "rpc_timeout_p": 0.10,
-        "rpc_fail_p": 0.05,
-        "rpc_latency_p": 0.05,
-        "rpc_latency_seconds": 0.001,
     },
     # rare hard failures: permanent read errors and corrupted pages
     # surface as typed fatal errors callers must handle.
@@ -181,11 +156,11 @@ class FaultRecord:
 class FaultInjector:
     """Deterministic fault source shared by every layer of one system.
 
-    One injector is attached to the storage managers, the RPC shims and
-    (through them) the service; it owns the seeded per-layer RNG
-    streams, the retry policy, the breaker factory, the sleep hook and
-    the fault log.  ``sleep`` is injectable so tests can run injected
-    latency and backoff without real wall-clock delay.
+    One injector is attached to the storage managers and (through
+    them) the service; it owns the seeded RNG streams, the retry
+    policy, the sleep hook and the fault log.  ``sleep`` is injectable
+    so tests can run injected latency and backoff without real
+    wall-clock delay.
     """
 
     def __init__(
@@ -204,12 +179,12 @@ class FaultInjector:
             install_plan(plan)
         root = random.Random(self.config.seed)
         self._storage_rng = random.Random(root.randrange(1 << 62))
-        self._rpc_rng = random.Random(root.randrange(1 << 62))
+        # the retired RPC stream's slot: keeps the jitter stream's values
+        root.randrange(1 << 62)
         self._retry_rng = random.Random(root.randrange(1 << 62))
         self._lock = threading.Lock()
         self._log: List[FaultRecord] = []
         self._counters: Dict[str, int] = {}
-        self._breakers: List[CircuitBreaker] = []
 
     # ------------------------------------------------------------------
     # shared recovery machinery
@@ -222,23 +197,6 @@ class FaultInjector:
     def retry_rng(self) -> random.Random:
         """The jitter stream for retry backoff (seed-derived)."""
         return self._retry_rng
-
-    def make_breaker(self, name: str) -> CircuitBreaker:
-        """A circuit breaker with this config's thresholds and clock.
-
-        Breakers made here are remembered so :meth:`snapshot` can
-        expose every breaker's state in one place (the service's
-        unified metrics document).
-        """
-        breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_failure_threshold,
-            reset_timeout=self.config.breaker_reset_timeout,
-            clock=self.clock,
-            name=name,
-        )
-        with self._lock:
-            self._breakers.append(breaker)
-        return breaker
 
     def sleep(self, seconds: float) -> None:
         """Enact injected latency / backoff via the configured hook."""
@@ -299,28 +257,6 @@ class FaultInjector:
             raise TransientPageError(disk, page.page_id)
 
     # ------------------------------------------------------------------
-    # rpc decisions (called by SiteClient per call attempt)
-    # ------------------------------------------------------------------
-    def on_rpc(self, site_id: int, method: str) -> None:
-        """Maybe delay or fail one site call attempt."""
-        cfg = self.config
-        with self._lock:
-            rng = self._rpc_rng
-            latency = rng.random() < cfg.rpc_latency_p
-            timeout = rng.random() < cfg.rpc_timeout_p
-            fail = rng.random() < cfg.rpc_fail_p
-        target = f"site{site_id}.{method}"
-        if latency:
-            self._record("rpc", "latency", target)
-            self.sleep(cfg.rpc_latency_seconds)
-        if timeout:
-            self._record("rpc", "timeout", target)
-            raise RpcTimeout(site_id, method)
-        if fail:
-            self._record("rpc", "unavailable", target)
-            raise SiteUnavailable(site_id, method)
-
-    # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     def fault_log(self) -> Tuple[Tuple[str, str, str], ...]:
@@ -334,14 +270,12 @@ class FaultInjector:
             return dict(self._counters)
 
     def snapshot(self) -> dict:
-        """Config echo, counters and breaker states, JSON-serialisable."""
+        """Config echo and counters, JSON-serialisable."""
         with self._lock:
             counters = dict(self._counters)
             events = len(self._log)
-            breakers = list(self._breakers)
         return {
             "seed": self.config.seed,
             "events": events,
             "counters": counters,
-            "breakers": {b.name: b.snapshot() for b in breakers},
         }

@@ -1,6 +1,6 @@
 """Named crash points: deterministic process-death injection.
 
-`repro.faults` (PR 2) can corrupt a page or time out an RPC, but the
+`repro.faults` can corrupt a page or fail a read, but the
 fault a durable system sees most often is the one it cannot catch:
 the process dies mid-write.  This module makes that fault *nameable*
 and *schedulable*: the durability code threads ``crashpoint("...")``

@@ -3,7 +3,7 @@
 Every fault the framework can inject (or detect) is a subclass of
 :class:`FaultError` carrying two classification attributes:
 
-* ``layer`` — which subsystem produced it (``"storage"`` or ``"rpc"``),
+* ``layer`` — which subsystem produced it (``"storage"``),
 * ``retryable`` — whether trying again can plausibly succeed.  The
   retry loops in :mod:`repro.faults.retry` and the serving layer's
   error mapping (`repro.service`) both branch on this flag alone, so
@@ -21,7 +21,7 @@ from __future__ import annotations
 class FaultError(Exception):
     """Base class of every injected or detected fault."""
 
-    #: subsystem that produced the fault ("storage", "rpc", ...).
+    #: subsystem that produced the fault ("storage", ...).
     layer = "fault"
     #: whether retrying the failed operation can plausibly succeed.
     retryable = False
@@ -73,51 +73,3 @@ class StorageCorruption(StorageFault):
         )
         self.disk = disk
         self.page_id = page_id
-
-
-# ----------------------------------------------------------------------
-# rpc / distributed layer
-# ----------------------------------------------------------------------
-class RpcFault(FaultError):
-    """Base class of simulated site-communication faults."""
-
-    layer = "rpc"
-
-    def __init__(self, site_id: int, method: str, reason: str) -> None:
-        super().__init__(
-            f"{reason} calling {method}() on site {site_id}"
-        )
-        self.site_id = site_id
-        self.method = method
-
-
-class RpcTimeout(RpcFault):
-    """A site call exceeded its (simulated) timeout."""
-
-    retryable = True
-
-    def __init__(self, site_id: int, method: str) -> None:
-        super().__init__(site_id, method, "timeout")
-
-
-class SiteUnavailable(RpcFault):
-    """A site call failed outright (site down, link broken)."""
-
-    retryable = True
-
-    def __init__(self, site_id: int, method: str) -> None:
-        super().__init__(site_id, method, "site unavailable")
-
-
-class CircuitOpen(RpcFault):
-    """The per-site circuit breaker rejected the call locally.
-
-    Retryable in the back-off sense: the breaker will admit a probe
-    once its reset timeout elapses — but the *current* call was never
-    sent, so the coordinator degrades instead of waiting.
-    """
-
-    retryable = True
-
-    def __init__(self, site_id: int, method: str) -> None:
-        super().__init__(site_id, method, "circuit breaker open")

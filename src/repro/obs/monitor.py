@@ -20,7 +20,7 @@ module closes that gap in-process:
   atomically publish a ``repro-monitor/1`` JSON document that the
   ``repro-top`` dashboard renders live.
 * :func:`compute_health` — folds alert state, WAL size / checkpoint
-  age, per-site breaker state and subscription backlog into one
+  age, subscription backlog and fatal faults into one
   ``ok`` / ``degraded`` / ``unhealthy`` verdict (the
   ``service.snapshot()["health"]`` section).
 
@@ -524,7 +524,6 @@ def compute_health(
     alerts: Optional[List[dict]] = None,
     recovery: Optional[dict] = None,
     subscriptions: Optional[dict] = None,
-    distributed: Optional[dict] = None,
     requests: Optional[dict] = None,
     limits: Optional[HealthLimits] = None,
 ) -> dict:
@@ -539,8 +538,6 @@ def compute_health(
     * any **firing** alert → ``degraded``; a firing ``critical`` alert
       → ``unhealthy``;
     * WAL bytes or checkpoint age past their limit → ``degraded``;
-    * any open circuit breaker → ``degraded``; *every* site's breaker
-      open → ``unhealthy`` (no partition is answerable);
     * subscription backlog past its limit, or a pending resync →
       ``degraded``;
     * any fatal (non-retryable) fault served → ``degraded``.
@@ -592,32 +589,6 @@ def compute_health(
                 if age is not None:
                     detail += f", checkpoint {age:.1f} s ago"
             check("durability", "ok", detail)
-
-    # --- circuit breakers ----------------------------------------------
-    if distributed is None or not distributed.get("sites"):
-        check("breakers", "ok", "no distributed sites attached")
-    else:
-        states = {
-            site["site_id"]: site.get("breaker", {}).get("state", "closed")
-            for site in distributed["sites"]
-        }
-        open_sites = sorted(
-            sid for sid, state in states.items() if state != "closed"
-        )
-        if open_sites and len(open_sites) == len(states):
-            check(
-                "breakers",
-                "unhealthy",
-                f"every site breaker open: {open_sites}",
-            )
-        elif open_sites:
-            check(
-                "breakers",
-                "degraded",
-                f"breaker not closed on sites {open_sites}",
-            )
-        else:
-            check("breakers", "ok", f"{len(states)} sites, all closed")
 
     # --- standing-query backlog ----------------------------------------
     if subscriptions is None or not subscriptions.get("active"):

@@ -15,7 +15,7 @@ One place where every operational number of the system meets:
 ``repro-serve --stats`` prints); :meth:`MetricsRegistry.to_prometheus`
 flattens the same tree into Prometheus text exposition format 0.0.4,
 mapping numeric leaves to untyped samples, booleans to 0/1, and string
-leaves (breaker states, algorithm names) to info-style samples with
+leaves (algorithm names, fault profiles) to info-style samples with
 the value as a label.
 """
 
@@ -104,11 +104,10 @@ class Gauge:
 
     A gauge may instead be *callback-backed* (``callback=...``): its
     value is read from the callable at export time, which is how live
-    state owned elsewhere (a circuit breaker's state, a WAL's byte
-    size) becomes a scrapeable sample without double bookkeeping.  A
-    callback that raises is isolated by the registry — the sample is
-    skipped and counted in ``collector_errors``, never letting one bad
-    source abort a whole exposition.
+    state owned elsewhere becomes a scrapeable sample without double
+    bookkeeping.  A callback that raises is isolated by the registry —
+    the sample is skipped and counted in ``collector_errors``, never
+    letting one bad source abort a whole exposition.
     """
 
     kind = "gauge"

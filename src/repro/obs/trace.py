@@ -4,7 +4,7 @@ The benchmark harness answers *how much* a query cost along the
 paper's three axes (CPU time, I/O as page faults x 8 ms, distance
 computations — Section 5); this module answers *where inside the
 query* those costs accrued: admission wait vs lock wait vs skyline
-rounds vs exact-score refinement vs per-site RPCs.
+rounds vs exact-score refinement vs page I/O.
 
 Design
 ------

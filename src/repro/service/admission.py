@@ -77,7 +77,7 @@ class TransientFault(Rejected):
     """A query failed on a *retryable* upstream fault (HTTP-503).
 
     The engine's transient faults are retried internally (storage
-    backoff, RPC retries); this surfaces only once those budgets are
+    backoff); this surfaces only once that budget is
     exhausted — the client may retry, ideally after backing off.  The
     original :class:`~repro.faults.errors.FaultError` is chained as
     ``__cause__``.

@@ -325,7 +325,6 @@ class QueryService:
             self._detach_phase_listener = self.tracer.add_listener(
                 self._observe_phase_span
             )
-        self._coordinator: Optional[Any] = None
         self.health_limits = HealthLimits()
         self.monitor: Optional[Any] = None
         if self.config.monitor:
@@ -1080,8 +1079,7 @@ class QueryService:
         """The service's ``ok/degraded/unhealthy`` verdict, with checks.
 
         Folds alert state (when the monitor is attached), WAL size and
-        checkpoint age, per-site breaker state (when a coordinator is
-        attached), subscription backlog, and the fatal-fault budget —
+        checkpoint age, subscription backlog, and the fatal-fault budget —
         see :func:`repro.obs.monitor.compute_health` for the rules.
         Works monitor-off too: the alert check then reports "monitor
         not attached" and judges everything else.
@@ -1097,26 +1095,9 @@ class QueryService:
                 durability.snapshot() if durability is not None else None
             ),
             subscriptions=self.subscriptions.snapshot(),
-            distributed=(
-                self._coordinator.snapshot()
-                if self._coordinator is not None
-                else None
-            ),
             requests=self.metrics.snapshot()["requests"],
             limits=self.health_limits,
         )
-
-    def attach_coordinator(self, coordinator: Any) -> None:
-        """Bind a :class:`~repro.distributed.DistributedTopK`.
-
-        Its per-site breaker state and trip counts become labeled
-        gauges in this service's registry, the coordinator snapshot
-        becomes the ``distributed`` section, and the health verdict
-        starts judging site coverage.
-        """
-        self._coordinator = coordinator
-        coordinator.attach_metrics(self.registry)
-        self.registry.register_collector("distributed", coordinator.snapshot)
 
     def metrics_prometheus(self) -> str:
         """The same document in Prometheus text exposition 0.0.4."""

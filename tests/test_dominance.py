@@ -10,6 +10,7 @@ from repro.core.brute_force import brute_force_scores
 from repro.core.dominance import (
     DistanceVectorSource,
     DominanceMatrix,
+    DominatorSet,
     dominates,
     dominates_vectors,
     domination_score,
@@ -70,6 +71,22 @@ class TestDominatesVectors:
     def test_equivalence_excludes_dominance(self, a, b):
         if equivalent_vectors(a, b):
             assert not dominates_vectors(a, b)
+
+
+class TestDominatorSet:
+    @pytest.mark.parametrize("filler", [0, DominatorSet._VECTORIZE_FROM])
+    def test_matches_definition_3_on_both_paths(self, filler):
+        # ``filler`` incomparable rows push the set onto the vectorized
+        # path; none of them dominates any probe below.
+        dominators = DominatorSet(2)
+        assert not dominators.dominates((0.0, 0.0))  # empty set
+        for i in range(filler):
+            dominators.add((100.0 + i, -1.0 - i))
+        dominators.add((1.0, 1.0))
+        assert dominators.dominates((2.0, 2.0))
+        assert dominators.dominates((1.0, 3.0))
+        assert not dominators.dominates((1.0, 1.0))  # equivalent vector
+        assert not dominators.dominates((0.5, 3.0))  # incomparable
 
 
 class TestDistanceVectorSource:

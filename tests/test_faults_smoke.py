@@ -1,20 +1,16 @@
 """Tier-1 chaos smoke: the seeded "low" profile changes no answer.
 
 The ``low`` profile injects rare transient faults (1 % per physical
-page read, 1 % per site call).  Every one of them must be absorbed by
-retries: the engine and the distributed coordinator return exactly the
-fault-free answers, just having taken a few retries to get there.  This
-is the cheap always-on canary for the whole recovery path; the heavier
-deterministic scenarios live in test_faults_* / test_distributed_faults.
+page read).  Every one of them must be absorbed by retries: the engine
+returns exactly the fault-free answers, just having taken a few retries
+to get there.  This is the cheap always-on canary for the whole
+recovery path; the heavier deterministic scenarios live in
+test_faults_*.
 """
 
-import random
-
-from repro.core.brute_force import brute_force_scores
-from repro.distributed import DistributedTopK
 from repro.faults.chaos import ChaosConfig, FaultInjector
 
-from tests.conftest import make_engine, make_vector_space
+from tests.conftest import make_engine
 
 SEED = 7
 
@@ -50,22 +46,3 @@ def test_engine_low_profile_matches_fault_free_run():
     assert injector.counters()["storage.retry"] == injector.counters()[
         "storage.read_transient"
     ]
-
-
-def test_distributed_low_profile_stays_exact():
-    space = make_vector_space(n=90, dims=3, seed=SEED)
-    injector = FaultInjector(
-        ChaosConfig.profile("low", seed=SEED), sleep=lambda _s: None
-    )
-    system = DistributedTopK(
-        space, num_sites=3, rng=random.Random(SEED), chaos=injector
-    )
-    queries, k = [0, 30, 60], 6
-    results, stats = system.top_k(queries, k)
-    assert stats.coverage.exact
-    truth = brute_force_scores(space, queries)
-    assert [r.score for r in results] == sorted(
-        truth.values(), reverse=True
-    )[:k]
-    for item in results:
-        assert truth[item.object_id] == item.score

@@ -301,7 +301,7 @@ class TestComputeHealth:
         health = compute_health()
         assert health["status"] == "ok"
         assert set(health["checks"]) == {
-            "alerts", "durability", "breakers", "subscriptions", "faults"
+            "alerts", "durability", "subscriptions", "faults"
         }
 
     def test_firing_warn_degrades(self):
@@ -349,25 +349,6 @@ class TestComputeHealth:
                                  "seconds_since_checkpoint": 1.0}},
         )
         assert health["checks"]["durability"]["status"] == "ok"
-
-    def test_one_open_breaker_degrades(self):
-        health = compute_health(
-            distributed={"sites": [
-                {"site_id": 0, "breaker": {"state": "closed"}},
-                {"site_id": 1, "breaker": {"state": "open"}},
-            ]}
-        )
-        assert health["status"] == "degraded"
-        assert "1" in health["checks"]["breakers"]["detail"]
-
-    def test_all_breakers_open_is_unhealthy(self):
-        health = compute_health(
-            distributed={"sites": [
-                {"site_id": 0, "breaker": {"state": "open"}},
-                {"site_id": 1, "breaker": {"state": "half_open"}},
-            ]}
-        )
-        assert health["status"] == "unhealthy"
 
     def test_subscription_backlog_degrades(self):
         health = compute_health(

@@ -55,28 +55,6 @@ def test_traced_equals_untraced_for_every_algorithm():
     assert len(tracer) > 0, "the traced run must actually record spans"
 
 
-def test_distributed_neutrality():
-    from repro.distributed.coordinator import DistributedTopK
-    from tests.conftest import make_vector_space
-
-    def run(traced: bool):
-        space = make_vector_space(n=90, dims=3, seed=5)
-        system = DistributedTopK(space, num_sites=3)
-        tracer = Tracer() if traced else None
-        if tracer is not None:
-            with tracer.trace("neutrality"):
-                results, stats = system.top_k(QUERY, K)
-        else:
-            results, stats = system.top_k(QUERY, K)
-        return (
-            [(r.object_id, r.score) for r in results],
-            stats.total_messages,
-            stats.candidate_vectors_shipped,
-        )
-
-    assert run(False) == run(True)
-
-
 def test_profiler_off_by_default_is_inert():
     """An unstarted profiler is provably nothing: no thread, no samples."""
     import threading

@@ -28,7 +28,6 @@ class TestPublicSurface:
             "repro.storage",
             "repro.datasets",
             "repro.bench",
-            "repro.distributed",
             "repro.streaming",
             "repro.service",
         ],
@@ -79,7 +78,6 @@ class TestPublicSurface:
             "repro.mtree",
             "repro.storage",
             "repro.datasets",
-            "repro.distributed",
             "repro.streaming",
             "repro.service",
         ):

@@ -7,11 +7,10 @@ import itertools
 import pytest
 
 from repro.core.brute_force import brute_force_scores
-from repro.core.dominance import DistanceVectorSource, dominates_vectors
+from repro.core.dominance import DistanceVectorSource
 from repro.core.pruning import (
     ExactScoreInfo,
     PruningConfig,
-    dominated_by_any,
     eph3_bound,
     eph4_bound,
     eph5_bound,
@@ -96,15 +95,6 @@ class TestEph5:
 
 
 class TestDominatedByAny:
-    def test_detects_dominator(self):
-        assert dominated_by_any((2.0, 2.0), [(1.0, 1.0)])
-
-    def test_equivalent_not_dominated(self):
-        assert not dominated_by_any((1.0, 1.0), [(1.0, 1.0)])
-
-    def test_empty_dominators(self):
-        assert not dominated_by_any((0.0, 0.0), [])
-
     def test_dominance_implies_strictly_lower_score(self, state):
         """The EPH1/EPH2 justification: a ≺ b ⇒ dom(a) > dom(b)."""
         sim, space, queries, truth, commons = state

@@ -359,7 +359,7 @@ class TestMonitoredService:
     def test_health_method_answers(self, monitored):
         health = monitored.health()
         assert set(health["checks"]) == {
-            "alerts", "durability", "breakers", "subscriptions", "faults"
+            "alerts", "durability", "subscriptions", "faults"
         }
 
     def test_custom_rules_and_forced_breach(self, small_engine):
@@ -401,22 +401,3 @@ class TestMonitoredService:
                 "ok", "degraded", "unhealthy"
             )
             assert "requests.received" in document["series"]
-
-    def test_attach_coordinator_feeds_health_and_gauges(self, monitored):
-        import random as random_mod
-
-        from repro.distributed import DistributedTopK
-
-        system = DistributedTopK(
-            monitored.engine.space, num_sites=2,
-            rng=random_mod.Random(5),
-        )
-        monitored.attach_coordinator(system)
-        snapshot = monitored.snapshot()
-        assert len(snapshot["distributed"]["sites"]) == 2
-        instruments = snapshot["instruments"]
-        assert instruments['site_breaker_state{site="0"}'] == 0.0
-        system.clients[0].breaker.force_open()
-        system.clients[1].breaker.force_open()
-        health = monitored.health()
-        assert health["checks"]["breakers"]["status"] == "unhealthy"
