@@ -167,11 +167,9 @@ class FaultInjector:
         self,
         config: Optional[ChaosConfig] = None,
         sleep: Callable[[float], None] = time.sleep,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.config = config or ChaosConfig()
         self._sleep = sleep
-        self.clock = clock
         plan = self.config.crash_plan
         if plan is not None:
             # arming is process-global: a crash is a property of the

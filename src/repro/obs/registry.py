@@ -100,43 +100,21 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down.
-
-    A gauge may instead be *callback-backed* (``callback=...``): its
-    value is read from the callable at export time, which is how live
-    state owned elsewhere becomes a scrapeable sample without double
-    bookkeeping.  A callback that raises is isolated by the registry —
-    the sample is skipped and counted in ``collector_errors``, never
-    letting one bad source abort a whole exposition.
-    """
+    """A value that can go up and down."""
 
     kind = "gauge"
 
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        callback: Optional[Callable[[], float]] = None,
-    ) -> None:
+    def __init__(self, name: str, help: str = "") -> None:
         self.name = name
         self.help = help
-        self.callback = callback
         self._lock = threading.Lock()
         self._value = 0.0
 
     def set(self, value: float) -> None:
-        if self.callback is not None:
-            raise TypeError(
-                f"gauge {self.name!r} is callback-backed; it cannot be set"
-            )
         with self._lock:
             self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        if self.callback is not None:
-            raise TypeError(
-                f"gauge {self.name!r} is callback-backed; it cannot be set"
-            )
         with self._lock:
             self._value += amount
 
@@ -145,8 +123,6 @@ class Gauge:
 
     @property
     def value(self) -> float:
-        if self.callback is not None:
-            return float(self.callback())
         with self._lock:
             return self._value
 
@@ -343,13 +319,12 @@ def render_labels(labels: Optional[Dict[str, str]]) -> str:
 class MetricsRegistry:
     """Named instruments plus pull collectors, exported as one surface.
 
-    Fault isolation: a collector or callback-backed gauge that raises
-    at scrape time is *skipped* — its section/sample is omitted from
-    that scrape and the failure is counted in the ``collector_errors``
-    counter (created lazily on the first failure, so clean registries
-    keep their historical snapshot shape).  One misbehaving source can
-    therefore never abort :meth:`collect` or the Prometheus exposition
-    for everyone else.
+    Fault isolation: a collector that raises at scrape time is
+    *skipped* — its section is omitted from that scrape and the failure
+    is counted in the ``collector_errors`` counter (created lazily on
+    the first failure, so clean registries keep their historical
+    snapshot shape).  One misbehaving source can therefore never abort
+    :meth:`collect` or the Prometheus exposition for everyone else.
     """
 
     def __init__(self, namespace: str = "repro") -> None:
@@ -397,11 +372,8 @@ class MetricsRegistry:
         name: str,
         help: str = "",
         labels: Optional[Dict[str, str]] = None,
-        callback: Optional[Callable[[], float]] = None,
     ) -> Gauge:
-        return self._instrument(
-            Gauge, name, help, labels=labels, callback=callback
-        )
+        return self._instrument(Gauge, name, help, labels=labels)
 
     def histogram(
         self,
@@ -413,7 +385,7 @@ class MetricsRegistry:
 
     @property
     def collector_errors(self) -> int:
-        """Total collector / gauge-callback failures isolated so far."""
+        """Total collector failures isolated so far."""
         with self._lock:
             counter = self._instruments.get("collector_errors")
         return int(counter.value) if counter is not None else 0
@@ -421,8 +393,8 @@ class MetricsRegistry:
     def _count_collector_error(self) -> None:
         self.counter(
             "collector_errors",
-            help="collector or gauge-callback failures isolated at "
-            "scrape time (the failing source was skipped)",
+            help="collector failures isolated at scrape time "
+            "(the failing source was skipped)",
         ).inc()
 
     # ------------------------------------------------------------------
@@ -455,9 +427,9 @@ class MetricsRegistry:
     def collect(self) -> Dict[str, Any]:
         """One nested plain-type document covering every source.
 
-        A collector (or callback gauge) that raises is skipped for
-        this scrape and counted in ``collector_errors``; every other
-        section still lands in the document.
+        A collector that raises is skipped for this scrape and counted
+        in ``collector_errors``; every other section still lands in the
+        document.
         """
         with self._lock:
             collectors = list(self._collectors.items())
@@ -476,13 +448,9 @@ class MetricsRegistry:
             else:
                 document[section] = value
         if instruments:
-            exported: Dict[str, Any] = {}
-            for key, inst in instruments:
-                try:
-                    exported[key] = inst.export()
-                except Exception:
-                    errors += 1
-            document["instruments"] = exported
+            document["instruments"] = {
+                key: inst.export() for key, inst in instruments
+            }
         for _ in range(errors):
             self._count_collector_error()
         if errors:
@@ -497,7 +465,7 @@ class MetricsRegistry:
         """Prometheus text exposition 0.0.4 of the full document.
 
         Mirrors :meth:`collect`'s fault isolation: a raising collector
-        or gauge callback loses only its own samples.
+        loses only its own samples.
         """
         with self._lock:
             instruments = list(self._instruments.items())
@@ -507,11 +475,6 @@ class MetricsRegistry:
         for _key, inst in instruments:
             full = sanitize_metric_name(f"{self.namespace}_{inst.name}")
             suffix = render_labels(getattr(inst, "labels", None))
-            try:
-                value = inst.export()
-            except Exception:
-                errors += 1
-                continue
             if full not in families_seen:
                 families_seen.add(full)
                 if inst.help:
@@ -522,7 +485,7 @@ class MetricsRegistry:
             if isinstance(inst, Histogram):
                 lines.extend(inst.prometheus_lines(full))
             else:
-                lines.append(f"{full}{suffix} {value}")
+                lines.append(f"{full}{suffix} {inst.export()}")
         with self._lock:
             collectors = list(self._collectors.items())
         for section, fn in collectors:

@@ -27,25 +27,22 @@ returned future delivers the answer and may happen later (e.g. after
 the modeled I/O stall).  Every follower then joined while the
 leader's epoch was current at some instant of its wait, so the shared
 answer is always one the follower could have computed itself.
-:meth:`finish` fuses both phases for callers without such a window.
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
-from typing import Callable, Dict, Hashable, Optional, Tuple, TypeVar
-
-T = TypeVar("T")
+from typing import Dict, Hashable, Tuple
 
 
 class SingleFlight:
     """Deduplicate concurrent calls that share a key.
 
     Protocol: ``begin(key)`` returns ``(future, is_leader)``.  The
-    leader *must* eventually call :meth:`finish` exactly once with the
-    result or the exception; followers just wait on the future.
-    :meth:`execute` wraps the protocol for synchronous callers.
+    leader *must* eventually call :meth:`close` exactly once and then
+    complete the returned future with the result or the exception;
+    followers just wait on the future.
     """
 
     def __init__(self) -> None:
@@ -78,40 +75,6 @@ class SingleFlight:
         """
         with self._lock:
             return self._inflight.pop(key)
-
-    def finish(
-        self,
-        key: Hashable,
-        result: object = None,
-        exception: Optional[BaseException] = None,
-    ) -> None:
-        """Land the flight, waking every follower (leader only).
-
-        One-step convenience over :meth:`close` for leaders with no
-        gap between linearization and delivery.
-        """
-        future = self.close(key)
-        if exception is not None:
-            future.set_exception(exception)
-        else:
-            future.set_result(result)
-
-    def execute(self, key: Hashable, fn: Callable[[], T]) -> Tuple[T, bool]:
-        """Synchronous convenience: run ``fn`` once per concurrent key.
-
-        Returns ``(value, shared)`` where ``shared`` is True when this
-        caller rode along on another caller's execution.
-        """
-        future, leader = self.begin(key)
-        if leader:
-            try:
-                value = fn()
-            except BaseException as exc:
-                self.finish(key, exception=exc)
-                raise
-            self.finish(key, result=value)
-            return value, False
-        return future.result(), True
 
     @property
     def inflight(self) -> int:

@@ -257,7 +257,7 @@ def test_sanitize_metric_name(raw, expected):
 
 
 class TestCollectorHardening:
-    """A broken collector or gauge callback must not abort a scrape."""
+    """A broken collector must not abort a scrape."""
 
     def make_registry(self):
         registry = MetricsRegistry(namespace="repro")
@@ -313,35 +313,8 @@ class TestCollectorHardening:
         assert "collector_errors" not in document.get("instruments", {})
         assert registry.collector_errors == 0
 
-    def test_raising_gauge_callback_skipped(self):
-        registry = self.make_registry()
-
-        def broken_callback():
-            raise RuntimeError("gauge down")
-
-        registry.gauge("bad_gauge", callback=broken_callback)
-        document = registry.collect()
-        assert "bad_gauge" not in document["instruments"]
-        assert document["instruments"]["good"] == 3.0
-        text = registry.to_prometheus()
-        assert "repro_good 3.0" in text
-        assert "bad_gauge" not in text
-        assert registry.collector_errors == 2  # one per exposition
-
 
 class TestCallbackGauges:
-    def test_callback_backs_value(self):
-        state = {"v": 1.5}
-        gauge = Gauge("g", callback=lambda: state["v"])
-        assert gauge.value == 1.5
-        state["v"] = 2.5
-        assert gauge.value == 2.5
-
-    def test_callback_gauge_rejects_set(self):
-        gauge = Gauge("g", callback=lambda: 1.0)
-        with pytest.raises(TypeError):
-            gauge.set(3)
-
     def test_gauge_dec(self):
         gauge = Gauge("g")
         gauge.set(5)

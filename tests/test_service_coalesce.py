@@ -5,9 +5,25 @@ from __future__ import annotations
 import threading
 import time
 
-import pytest
-
 from repro.service.coalesce import SingleFlight
+
+
+def run_once(flight, key, fn):
+    """Drive one call through the flight protocol: ``(value, shared)``.
+
+    The leader runs ``fn``, closes the flight and completes its future
+    with the value or the exception; a follower waits on the future.
+    """
+    future, leader = flight.begin(key)
+    if not leader:
+        return future.result(), True
+    try:
+        value = fn()
+    except BaseException as exc:
+        flight.close(key).set_exception(exc)
+        raise
+    flight.close(key).set_result(value)
+    return value, False
 
 
 class TestProtocol:
@@ -18,18 +34,18 @@ class TestProtocol:
         follower_future, follower_leader = flight.begin("key")
         assert not follower_leader
         assert follower_future is future
-        flight.finish("key", result=42)
+        flight.close("key").set_result(42)
         assert future.result(timeout=1) == 42
         assert flight.saved == 1 and flight.flights == 1
 
     def test_new_flight_after_landing(self):
         flight = SingleFlight()
         _, leader = flight.begin("key")
-        flight.finish("key", result=1)
+        flight.close("key").set_result(1)
         _, leader_again = flight.begin("key")
         assert leader and leader_again
         assert flight.flights == 2
-        flight.finish("key", result=2)
+        flight.close("key").set_result(2)
         assert flight.inflight == 0
 
     def test_distinct_keys_fly_separately(self):
@@ -38,8 +54,8 @@ class TestProtocol:
         _, b = flight.begin("b")
         assert a and b
         assert flight.inflight == 2
-        flight.finish("a", result=None)
-        flight.finish("b", result=None)
+        flight.close("a").set_result(None)
+        flight.close("b").set_result(None)
 
 
 class TestClose:
@@ -60,7 +76,7 @@ class TestClose:
         # completing the old flight later still wakes its followers
         future.set_result("old answer")
         assert future.result(timeout=1) == "old answer"
-        flight.finish("key", result="new answer")
+        flight.close("key").set_result("new answer")
         assert fresh_future.result(timeout=1) == "new answer"
 
     def test_follower_joined_before_close_still_served(self):
@@ -75,6 +91,8 @@ class TestClose:
 
 
 class TestExecute:
+    """Leaders execute once per concurrent key; followers share it."""
+
     def test_concurrent_identical_calls_share_one_execution(self):
         flight = SingleFlight()
         executions = []
@@ -88,7 +106,7 @@ class TestExecute:
 
         def caller():
             barrier.wait()
-            results.append(flight.execute("key", work))
+            results.append(run_once(flight, "key", work))
 
         threads = [threading.Thread(target=caller) for _ in range(4)]
         for thread in threads:
@@ -113,7 +131,7 @@ class TestExecute:
         def leader():
             barrier.wait()
             try:
-                flight.execute("key", exploding)
+                run_once(flight, "key", exploding)
             except RuntimeError as exc:
                 errors.append(exc)
 
@@ -121,7 +139,7 @@ class TestExecute:
             barrier.wait()
             time.sleep(0.01)  # ensure the leader begins first
             try:
-                flight.execute("key", lambda: "never runs")
+                run_once(flight, "key", lambda: "never runs")
             except RuntimeError as exc:
                 errors.append(exc)
 
@@ -136,21 +154,21 @@ class TestExecute:
         assert len(errors) == 2
         assert all(str(exc) == "boom" for exc in errors)
         # the failed flight is gone; the key flies fresh next time
-        assert flight.execute("key", lambda: "recovered") == (
+        assert run_once(flight, "key", lambda: "recovered") == (
             "recovered",
             False,
         )
 
     def test_sequential_calls_never_share(self):
         flight = SingleFlight()
-        first = flight.execute("key", lambda: 1)
-        second = flight.execute("key", lambda: 2)
+        first = run_once(flight, "key", lambda: 1)
+        second = run_once(flight, "key", lambda: 2)
         assert first == (1, False)
         assert second == (2, False), "sequential calls each execute"
 
 
 def test_snapshot_shape():
     flight = SingleFlight()
-    flight.execute("key", lambda: None)
+    run_once(flight, "key", lambda: None)
     snap = flight.snapshot()
     assert snap == {"flights": 1, "saved": 0, "inflight": 0}

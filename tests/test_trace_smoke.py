@@ -37,6 +37,7 @@ def recorded(tmp_path_factory):
             "--workers", "2",
             "--no-io-model",
             "--seed", "3",
+            "--write-fraction", "0.25",
         ]
     )
     assert code == 0
@@ -48,10 +49,28 @@ def test_record_writes_native_trace(recorded):
     document = load_trace(out)
     assert document["format"] == NATIVE_FORMAT
     assert document["meta"]["workload"]["n"] == 120
-    assert document["meta"]["completed"] == 8
+    # 2 of the 8 operations are writes; completed counts the reads
+    assert document["meta"]["completed"] == 6
     names = {span["name"] for span in document["spans"]}
     assert "service.request" in names
     assert "engine.query" in names
+
+
+def test_record_traces_writes(recorded):
+    _tmp, out, _chrome = recorded
+    spans = load_trace(out)["spans"]
+    writes = [span for span in spans if span["name"] == "service.write"]
+    assert writes, "the smoke workload must record writes"
+    for write in writes:
+        assert write["args"]["op"] in ("insert", "delete")
+        waits = [
+            span
+            for span in spans
+            if span["name"] == "service.write_lock_wait"
+            and span["parent_id"] == write["span_id"]
+            and span["trace_id"] == write["trace_id"]
+        ]
+        assert len(waits) == 1
 
 
 def test_record_chrome_export_validates(recorded):
